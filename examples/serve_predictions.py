@@ -28,9 +28,10 @@ def main() -> None:
 
     data = AgrawalGenerator(function=2, perturbation=0.0, seed=7).generate(100_000)
 
-    config = ServiceConfig(max_batch_size=8192, max_delay=0.01, workers=2)
+    config = ServiceConfig(max_batch_size=8192, workers=2)
     with PredictionService(registry, config) as service:
-        # Latency path: one record, answered within max_delay.
+        # Latency path: on an idle service a lone record is dispatched at
+        # once as its own batch, so it waits for no timer.
         record, label = data[0]
         print(f"single record -> {service.predict_record('function-2', record)!r} "
               f"(truth {label!r})")

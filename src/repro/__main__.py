@@ -460,12 +460,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
         help="micro-batch flush size (default: 8192)",
     )
     service.add_argument(
-        "--max-delay-ms",
-        type=float,
-        default=10.0,
-        help="micro-batch flush deadline in milliseconds (default: 10)",
-    )
-    service.add_argument(
         "--workers",
         type=positive_int,
         default=2,
@@ -533,7 +527,6 @@ def _service_config(args: argparse.Namespace):
 
     return ServiceConfig(
         max_batch_size=args.batch_size,
-        max_delay=args.max_delay_ms / 1000.0,
         workers=args.workers,
     )
 

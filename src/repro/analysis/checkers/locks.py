@@ -1,7 +1,7 @@
 """``lock-discipline``: state guarded by a lock stays guarded everywhere.
 
 The serving service and the tuple store are mutated from thread-pool
-dispatch threads, a background flusher and the caller's thread at once;
+dispatch threads and the callers' threads at once;
 their correctness contract is "every mutation of shared state happens under
 ``self._lock``".  That contract is easy to break one edit at a time — a new
 ``close()`` path, a lazily-initialised connection — and the breakage is a

@@ -245,10 +245,14 @@ def stress_service(
 ) -> RaceReport:
     """Hammer a real :class:`PredictionService` with tracing installed.
 
-    Every ``ModelStats`` mutation the service performs from its dispatch
-    pool and caller threads is checked against the service lock; the labels
-    themselves are also verified against the single-threaded reference so
-    the stress run doubles as a correctness check.
+    Each thread submits its records one at a time and also streams them
+    through :meth:`~PredictionService.predict_stream_batches`, so the run
+    mixes idle dispatches, batches coalesced while the workers are busy and
+    drained by finishing jobs, and full stream batches.  Every ``ModelStats``
+    mutation and every write of the service's in-flight job counter is
+    checked against the service lock; the labels of both paths are also
+    verified against the single-threaded reference, so the stress run
+    doubles as a correctness check.
     """
     from repro.data.agrawal import AgrawalGenerator
     from repro.serving import ModelRegistry, reference_ruleset
@@ -263,10 +267,11 @@ def stress_service(
     records = dataset.records
     expected = list(dataset.labels)
 
-    config = ServiceConfig(max_batch_size=64, max_delay=0.002, workers=2)
+    config = ServiceConfig(max_batch_size=64, workers=2)
     with PredictionService(registry, config) as service:
         stats = ModelStats(model="traced")
         trace_attributes(stats, service._lock, report)
+        trace_attributes(service, service._lock, report, attrs=("_in_flight",))
         with service._lock:
             service._stats["traced"] = stats
 
@@ -274,6 +279,7 @@ def stress_service(
 
         def worker(index: int) -> None:
             try:
+                handles = [service.submit("traced", record) for record in records]
                 labels = [
                     label
                     for labels in service.predict_stream_batches(
@@ -282,7 +288,9 @@ def stress_service(
                     for label in labels
                 ]
                 if labels != expected:
-                    failures.append(f"thread {index}: labels diverged")
+                    failures.append(f"thread {index}: stream labels diverged")
+                if [handle.result(timeout=60.0) for handle in handles] != expected:
+                    failures.append(f"thread {index}: single-record labels diverged")
             except Exception as exc:  # repro: ignore[broad-except] surfaced via `failures` and re-raised as AnalysisError below
                 failures.append(f"thread {index}: {type(exc).__name__}: {exc}")
 

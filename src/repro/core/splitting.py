@@ -38,7 +38,9 @@ class SplitterConfig:
     n_hidden: int = 3
     fidelity_threshold: float = 0.9
     max_depth: int = 2
-    trainer: TrainerConfig = field(default_factory=lambda: TrainerConfig(n_hidden=3))
+    #: Seeded, so that a seeded fit extracts the same rules every time it
+    #: splits a unit.
+    trainer: TrainerConfig = field(default_factory=lambda: TrainerConfig(n_hidden=3, seed=1))
     pruning: PruningConfig = field(default_factory=lambda: PruningConfig(accuracy_threshold=0.9))
 
     def __post_init__(self) -> None:

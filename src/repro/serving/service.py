@@ -4,17 +4,19 @@ A single record is far too small a unit of work for the compiled rule
 evaluators and the chunked network predictor: the vectorised paths amortise
 their setup (column materialisation, matrix products) over whole batches.
 :class:`PredictionService` bridges the two worlds the way production model
-servers do, with *adaptive micro-batching*:
+servers do, with *work-conserving micro-batching*:
 
 * callers submit single records (:meth:`PredictionService.submit`,
   :meth:`predict_record`) or whole record streams (:meth:`predict_stream`);
-* the service accumulates submissions per model and flushes a micro-batch
-  when it reaches ``max_batch_size`` **or** when the oldest pending record
-  has waited ``max_delay`` seconds — full batches under load, bounded
-  latency when traffic is sparse;
-* flushed batches are dispatched across a thread pool to the model's
-  vectorised ``predict_batch``, and per-model throughput/latency statistics
-  are recorded for every batch.
+* while a pool worker is free, a submission is dispatched at once as its own
+  micro-batch, so a lightly loaded service answers in the time the model
+  takes, not the time a timer takes;
+* while every worker is busy, submissions coalesce per model, and each pool
+  job that finishes dispatches the oldest waiting batch — batches grow with
+  the load instead of with a deadline;
+* a batch that reaches ``max_batch_size`` is dispatched at once whatever
+  the load, and per-model throughput/latency statistics are recorded for
+  every batch.
 
 Submission order is prediction order: results are keyed by ``(batch,
 offset)`` handles, so streams come back in exactly the order they went in no
@@ -49,22 +51,19 @@ class ServiceConfig:
     """Tunables of the micro-batching service.
 
     ``max_batch_size`` caps how many records one dispatched batch may hold;
-    ``max_delay`` caps how long a submitted record may wait for its batch to
-    fill (seconds); ``workers`` sizes the dispatch thread pool;
-    ``stream_window`` bounds how many records :meth:`predict_stream` keeps in
-    flight (0 picks ``4 * max_batch_size``).
+    ``workers`` sizes the dispatch thread pool, and so how many jobs may run
+    before new records start to coalesce; ``stream_window`` bounds how many
+    records :meth:`predict_stream` keeps in flight (0 picks
+    ``4 * max_batch_size``).
     """
 
     max_batch_size: int = 1024
-    max_delay: float = 0.01
     workers: int = 2
     stream_window: int = 0
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ServingError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_delay <= 0.0:
-            raise ServingError(f"max_delay must be positive, got {self.max_delay}")
         if self.workers < 1:
             raise ServingError(f"workers must be >= 1, got {self.workers}")
         if self.stream_window < 0:
@@ -160,9 +159,10 @@ class PendingPrediction:
 class _PendingBatch:
     """Records accumulated for one model since its last flush."""
 
-    __slots__ = ("records", "future", "first_at")
+    __slots__ = ("model", "records", "future", "first_at")
 
-    def __init__(self) -> None:
+    def __init__(self, model: ServableModel) -> None:
+        self.model = model
         self.records: List[Record] = []
         self.future: "Future[np.ndarray]" = Future()
         self.first_at: float = monotonic()
@@ -171,9 +171,8 @@ class _PendingBatch:
 class PredictionService:
     """Serve prediction traffic for registered models with micro-batching.
 
-    Use as a context manager (or call :meth:`close`): a background flusher
-    thread enforces the ``max_delay`` bound and a thread pool evaluates the
-    batches, both of which must be shut down deterministically.
+    Use as a context manager (or call :meth:`close`): the thread pool that
+    evaluates the batches must be shut down deterministically.
     """
 
     def __init__(
@@ -191,14 +190,16 @@ class PredictionService:
             max_workers=self.config.workers, thread_name_prefix="repro-serve"
         )
         self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
         self._pending: Dict[str, _PendingBatch] = {}
         self._stats: Dict[str, ModelStats] = {}
+        # Pool jobs (micro-batches and chunks) submitted and not yet finished.
+        # Invariant, under self._lock: a pending batch exists only while
+        # _in_flight >= config.workers.  That is what dispatches every record
+        # without a timer: a submission either finds a free worker and goes
+        # to the pool at once, or waits for a running job, whose completion
+        # (_job) hands the oldest pending batch to the pool.
+        self._in_flight = 0
         self._closed = False
-        self._flusher = threading.Thread(
-            target=self._flush_loop, name="repro-serve-flusher", daemon=True
-        )
-        self._flusher.start()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -209,17 +210,17 @@ class PredictionService:
         self.close()
 
     def close(self) -> None:
-        """Flush everything pending, then stop the flusher and the pool."""
+        """Dispatch everything pending, then wait for the pool to finish."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            due = [(name, batch) for name, batch in self._pending.items()]
+            for name, batch in self._pending.items():
+                self._dispatch(name, batch, "close")
             self._pending.clear()
-            self._wakeup.notify_all()
-        for name, batch in due:
-            self._dispatch(name, batch, reason="close")
-        self._flusher.join(timeout=5.0)
+        # Not under the lock: every finishing job takes it in _job.  No
+        # dispatch can follow: dispatches happen under the lock, and either
+        # check _closed (submits) or take from the now empty _pending.
         self._pool.shutdown(wait=True)
 
     # -- submission -----------------------------------------------------------
@@ -227,26 +228,23 @@ class PredictionService:
     def submit(self, model_name: str, record: Record) -> PendingPrediction:
         """Queue one record for ``model_name``; returns a result handle.
 
-        The record joins the model's current micro-batch; a full batch is
-        dispatched immediately, otherwise the flusher dispatches it within
-        ``max_delay`` seconds.
+        The record joins the model's current micro-batch, which is
+        dispatched at once if it is full or a pool worker is free; otherwise
+        it keeps coalescing until a running job finishes.
         """
         model = self.registry.get(model_name)  # fail fast on unknown names
-        full: Optional[_PendingBatch] = None
         with self._lock:
             if self._closed:
                 raise ServingError("cannot submit to a closed PredictionService")
             batch = self._pending.get(model_name)
             if batch is None:
-                batch = _PendingBatch()
-                self._pending[model_name] = batch
-                self._wakeup.notify_all()  # a new deadline for the flusher
+                batch = self._pending[model_name] = _PendingBatch(model)
             batch.records.append(record)
             handle = PendingPrediction(batch.future, len(batch.records) - 1)
-            if len(batch.records) >= self.config.max_batch_size:
-                full = self._pending.pop(model_name)
-        if full is not None:
-            self._dispatch(model_name, full, model=model)
+            reason = self._dispatch_reason(batch)
+            if reason is not None:
+                del self._pending[model_name]
+                self._dispatch(model_name, batch, reason)
         return handle
 
     def submit_many(
@@ -256,16 +254,15 @@ class PredictionService:
 
         The chunk joins the model's current micro-batch, spilling into fresh
         batches at ``max_batch_size`` boundaries; every batch filled on the
-        way is dispatched.  Returns ``(batch_future, offset, count)`` handle
-        groups covering the chunk in order — consecutive records share their
-        batch's future, which is what lets :meth:`predict_stream` resolve a
-        whole micro-batch with a single ``Future.result`` call instead of one
-        per record.
+        way is dispatched, and the partial tail too if a worker is free.
+        Returns ``(batch_future, offset, count)`` handle groups covering the
+        chunk in order — consecutive records share their batch's future,
+        which is what lets :meth:`predict_stream` resolve a whole micro-batch
+        with a single ``Future.result`` call instead of one per record.
         """
         model = self.registry.get(model_name)
         records = list(records)
         groups: List[Tuple["Future[np.ndarray]", int, int]] = []
-        full: List[_PendingBatch] = []
         with self._lock:
             if self._closed:
                 raise ServingError("cannot submit to a closed PredictionService")
@@ -273,18 +270,16 @@ class PredictionService:
             while position < len(records):
                 batch = self._pending.get(model_name)
                 if batch is None:
-                    batch = _PendingBatch()
-                    self._pending[model_name] = batch
-                    self._wakeup.notify_all()  # a new deadline for the flusher
+                    batch = self._pending[model_name] = _PendingBatch(model)
                 space = self.config.max_batch_size - len(batch.records)
                 take = records[position : position + space]
                 groups.append((batch.future, len(batch.records), len(take)))
                 batch.records.extend(take)
                 position += len(take)
-                if len(batch.records) >= self.config.max_batch_size:
-                    full.append(self._pending.pop(model_name))
-        for batch in full:
-            self._dispatch(model_name, batch, model=model)
+                reason = self._dispatch_reason(batch)
+                if reason is not None:
+                    del self._pending[model_name]
+                    self._dispatch(model_name, batch, reason)
         return groups
 
     def predict_record(
@@ -308,11 +303,12 @@ class PredictionService:
         on the way through.
         """
         model = self.registry.get(model_name)
+        future: "Future[Tuple[np.ndarray, Tuple[str, ...]]]" = Future()
         with self._lock:
             if self._closed:
                 raise ServingError("cannot submit to a closed PredictionService")
-        future: "Future[Tuple[np.ndarray, Tuple[str, ...]]]" = Future()
-        self._pool.submit(self._run_chunk, model_name, model, chunk, future)
+            self._pool.submit(self._job, self._run_chunk, model_name, model, chunk, future)
+            self._in_flight += 1
         return future
 
     def predict_chunks(
@@ -502,8 +498,8 @@ class PredictionService:
             else:
                 batch = self._pending.pop(model_name, None)
                 due = [(model_name, batch)] if batch is not None else []
-        for name, batch in due:
-            self._dispatch(name, batch, reason="explicit")
+            for name, batch in due:
+                self._dispatch(name, batch, "explicit")
 
     # -- statistics -----------------------------------------------------------
 
@@ -553,15 +549,23 @@ class PredictionService:
             "repro_serve_batch_seconds", "Batch execute latency", model=model_name
         ).observe(seconds)
 
-    def _dispatch(
-        self,
-        model_name: str,
-        batch: _PendingBatch,
-        model: Optional[ServableModel] = None,
-        reason: str = "full",
-    ) -> None:
-        if model is None:
-            model = self.registry.get(model_name)
+    def _dispatch_reason(self, batch: _PendingBatch) -> Optional[str]:
+        """Why ``batch`` should go to the pool now, or ``None`` to let it
+        keep coalescing; the caller holds ``self._lock``."""
+        if len(batch.records) >= self.config.max_batch_size:
+            return "full"
+        if self._in_flight < self.config.workers:
+            return "idle"
+        return None
+
+    def _dispatch(self, model_name: str, batch: _PendingBatch, reason: str) -> None:
+        """Hand ``batch`` to the pool as one job; the caller holds ``self._lock``.
+
+        Submitting under the lock keeps every dispatch ahead of
+        :meth:`close`: once ``close`` has marked the service closed, no
+        thread can reach ``pool.submit`` again, so a shut-down pool can never
+        reject a batch whose handles someone is waiting on.
+        """
         # Queue wait: how long the batch's *oldest* record sat between
         # submission and dispatch — the latency micro-batching trades away.
         obs.histogram(
@@ -575,7 +579,24 @@ class PredictionService:
             model=model_name,
             reason=reason,
         ).inc()
-        self._pool.submit(self._run_batch, model_name, model, batch)
+        self._pool.submit(self._job, self._run_batch, model_name, batch.model, batch)
+        self._in_flight += 1  # repro: ignore[lock-discipline] every caller holds self._lock
+
+    def _job(self, run, *args) -> None:
+        """One pool job: ``run(*args)``, then retire it and give its worker
+        the oldest pending batch.
+
+        The hand-over sits in a ``finally``, so a job that raised makes it
+        too; that keeps the in-flight invariant (see ``__init__``) true.
+        """
+        try:
+            run(*args)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+                if self._pending and self._in_flight < self.config.workers:
+                    name = next(iter(self._pending))  # insertion order: the oldest
+                    self._dispatch(name, self._pending.pop(name), "idle")
 
     def _run_batch(
         self, model_name: str, model: ServableModel, batch: _PendingBatch
@@ -600,25 +621,3 @@ class PredictionService:
                 return
             self._observe(model_name, len(batch.records), span.seconds)
             batch.future.set_result(labels)
-
-    def _flush_loop(self) -> None:
-        """Background thread enforcing the ``max_delay`` flush bound."""
-        while True:
-            due: List = []
-            with self._lock:
-                if self._closed:
-                    return
-                now = monotonic()
-                deadline: Optional[float] = None
-                for name in list(self._pending):
-                    batch = self._pending[name]
-                    expires = batch.first_at + self.config.max_delay
-                    if expires <= now:
-                        due.append((name, self._pending.pop(name)))
-                    elif deadline is None or expires < deadline:
-                        deadline = expires
-                if not due:
-                    timeout = None if deadline is None else max(deadline - now, 0.0)
-                    self._wakeup.wait(timeout)
-            for name, batch in due:
-                self._dispatch(name, batch, reason="delay")

@@ -64,7 +64,7 @@ def test_rogue_thread_mutation_on_idle_service_is_detected():
     """The regression the harness exists for: a thread that skips the lock."""
     registry = ModelRegistry()
     registry.register_ruleset("m", reference_ruleset(1))
-    config = ServiceConfig(max_batch_size=8, max_delay=0.005, workers=1)
+    config = ServiceConfig(max_batch_size=8, workers=1)
     report = RaceReport()
     with PredictionService(registry, config) as service:
         stats = trace_attributes(ModelStats(model="m"), service._lock, report)

@@ -95,6 +95,28 @@ class TestHiddenUnitSplitter:
             for conjunction in conjunctions:
                 assert set(conjunction) <= connected_names
 
+    def test_default_splitter_is_seeded_and_repeatable(self, wide_fitted):
+        """The default subnetwork trainer is seeded, so two splits of one unit
+        give the same rules (an unseeded one lets a seeded fit drift)."""
+        assert SplitterConfig().trainer.seed is not None
+        network = wide_fitted["network"]
+        clustering = ActivationDiscretizer().discretize(
+            network, wide_fitted["inputs"], wide_fitted["targets"], required_accuracy=0.9
+        )
+        unit = clustering.clusterings[0]
+        if unit.n_clusters < 2:
+            pytest.skip("the first hidden unit collapsed to a single cluster")
+        first, second = (
+            HiddenUnitSplitter().input_rules(
+                network=network,
+                clustering_unit=unit,
+                inputs=wide_fitted["inputs"],
+                needed_clusters=list(range(unit.n_clusters)),
+            )
+            for _ in range(2)
+        )
+        assert first == second
+
     def test_extraction_with_splitter_on_wide_network(self, wide_fitted):
         """End to end: force splitting by setting a tiny enumeration limit."""
         extractor = RuleExtractor(

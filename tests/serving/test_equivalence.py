@@ -69,7 +69,7 @@ def _serve_all(model: ServableModel, records, config: ServiceConfig):
 
 
 #: Small batches + several workers force concurrent micro-batch dispatch.
-CONCURRENT = ServiceConfig(max_batch_size=97, max_delay=0.005, workers=4)
+CONCURRENT = ServiceConfig(max_batch_size=97, workers=4)
 
 
 class TestServiceEquivalence:
