@@ -90,7 +90,7 @@ def test_bench_pipeline_sustained_throughput(tmp_path):
     assert stored_labels.tolist() == generated_labels.tolist()
     # And the chunk path agrees with the scalar reference on a prefix sample.
     rules = reference_ruleset(FUNCTION)
-    sample = expected[0].slice(0, SAMPLE)
+    sample = expected[0].subset(slice(0, SAMPLE))
     scalar = [rules.predict_record(record) for record in sample.records]
     assert stored_labels[:SAMPLE].tolist() == scalar
 

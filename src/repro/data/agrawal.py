@@ -36,11 +36,12 @@ value per tuple, so the scalar and columnar paths (and any chunking of the
 columnar path) produce bit-identical tuples, labels and perturbed values.
 
 :meth:`AgrawalGenerator.iter_chunks` streams a workload as bounded-size
-:class:`~repro.data.chunks.Chunk` batches — the pipeline's shared columnar
-interchange, labels carried as class-index codes — and supports *drift
-scenarios*: a :class:`DriftPoint` switches the labelling function and/or the
-perturbation factor mid-stream, opening concept-drift workloads on top of
-the classic benchmark.
+:class:`~repro.data.columnar.ColumnarDataset` chunks — the same type
+:meth:`~AgrawalGenerator.generate` returns and training consumes, labels
+carried as class-index codes — and supports *drift scenarios*: a
+:class:`DriftPoint` switches the labelling function and/or the perturbation
+factor mid-stream, opening concept-drift workloads on top of the classic
+benchmark.
 
 Parallel generation
 -------------------
@@ -64,7 +65,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.data.chunks import Chunk, codes_from_labels
 from repro.data.columnar import ColumnarDataset
 from repro.data.dataset import Dataset, Record
 from repro.data.functions import (
@@ -407,8 +407,8 @@ class AgrawalGenerator:
         chunk_size: int = 100_000,
         drift: Optional[Sequence[DriftPoint]] = None,
         processes: Optional[int] = None,
-    ) -> Iterator[Chunk]:
-        """Stream ``n`` tuples as bounded-size :class:`Chunk` batches.
+    ) -> Iterator[ColumnarDataset]:
+        """Stream ``n`` tuples as bounded-size :class:`ColumnarDataset` chunks.
 
         Memory stays bounded by ``chunk_size`` whatever ``n`` is, and labels
         travel as class-index codes (``chunk.label_codes``) — the string
@@ -457,7 +457,7 @@ class AgrawalGenerator:
         n: int,
         chunk_size: int,
         drift: Optional[Sequence[DriftPoint]],
-    ) -> Iterator[Chunk]:
+    ) -> Iterator[ColumnarDataset]:
         points = sorted(drift or [], key=lambda point: point.at)
         offsets = [point.at for point in points]
         if len(set(offsets)) != len(offsets):
@@ -483,11 +483,11 @@ class AgrawalGenerator:
                 "generate.chunk", chunk=index, rows=count, function=self.function
             ):
                 clean = self._sample_columns(count)
-                labels = batch_labeller(clean)
-                chunk = Chunk(
+                chunk = ColumnarDataset(
                     self.schema,
                     self._perturb_columns(clean, perturbation),
-                    codes_from_labels(labels, self.schema.classes),
+                    batch_labeller(clean),
+                    validate=False,
                 )
             generated.inc(count)
             index += 1
@@ -516,7 +516,7 @@ class AgrawalGenerator:
 
     def _iter_chunks_parallel(
         self, n: int, chunk_size: int, processes: int
-    ) -> Iterator[Chunk]:
+    ) -> Iterator[ColumnarDataset]:
         # Imported here: fanout pulls in concurrent.futures/multiprocessing,
         # which pure in-process generation never needs.
         from repro.data.fanout import ChunkFanout
@@ -542,7 +542,7 @@ class AgrawalGenerator:
             "repro_generate_tuples_total", "Tuples produced by the generator"
         )
 
-        def counted() -> Iterator[Chunk]:
+        def counted() -> Iterator[ColumnarDataset]:
             for chunk in pool.imap(_generate_parallel_chunk, jobs):
                 generated.inc(len(chunk))
                 yield chunk
@@ -565,7 +565,7 @@ def _generate_parallel_chunk(
     seed: np.random.SeedSequence,
     count: int,
     schema: Schema,
-) -> Chunk:
+) -> ColumnarDataset:
     """Fan-out worker body: one whole chunk from its own seed child.
 
     Top-level (not a method) so the pool can pickle it by reference under
@@ -575,7 +575,7 @@ def _generate_parallel_chunk(
     generator = AgrawalGenerator(
         function=function, perturbation=perturbation, seed=seed, schema=schema
     )
-    return Chunk.from_dataset(generator.generate(count))
+    return generator.generate(count)
 
 
 def generate_function_dataset(

@@ -1,360 +1,55 @@
-"""The columnar chunk: one interchange type for every pipeline hand-off.
+"""Chunk plumbing: the shared-memory transport and the n-way concat.
 
-Every subsystem of the pipeline streams bounded-size column batches —
+Every stage of the pipeline streams bounded-size batches of tuples —
 generation (:meth:`AgrawalGenerator.iter_chunks
 <repro.data.agrawal.AgrawalGenerator.iter_chunks>`), encoding
 (:meth:`TupleEncoder.transform_matrix
 <repro.preprocessing.encoder.TupleEncoder.transform_matrix>`), serving
 (:meth:`PredictionService.predict_chunks
 <repro.serving.service.PredictionService.predict_chunks>`) and DB load
-(:meth:`TupleStore.load <repro.db.store.TupleStore.load>`).  Historically each
-hand-off between them re-materialised per-record Python dicts; :class:`Chunk`
-is the shared currency that removes those copies:
+(:meth:`TupleStore.load <repro.db.store.TupleStore.load>`).  Each batch — a
+*chunk* — is a :class:`~repro.data.columnar.ColumnarDataset`, the same type
+training consumes: read-only column arrays plus an ``int64`` label-code
+array, zero-copy ``subset`` views and ``with_label_codes`` re-labelling.
+This module adds what a chunk stream needs beyond one dataset:
 
-* **Immutable column arrays.**  A chunk holds one read-only NumPy array per
-  attribute plus (optionally) an integer *label-code* array indexing into a
-  class tuple.  Labels stay integer codes end-to-end; strings materialise
-  only at the final boundary that genuinely needs them (file writers, JSON).
-* **Zero-copy slice/concat.**  :meth:`Chunk.slice` and :meth:`Chunk.split`
-  return views over the same buffers; :meth:`Chunk.concat` is one
-  ``np.concatenate`` per column.
 * **Shared-memory transport.**  :func:`chunk_to_shared` /
   :func:`chunk_from_shared` move a chunk across process boundaries through a
   :class:`multiprocessing.shared_memory.SharedMemory` segment: the producer
   writes raw column bytes, the consumer maps them back as arrays without
   pickling a single row (the fan-out pool of :mod:`repro.data.fanout` is the
   producer side).
-
-``Chunk`` deliberately does **not** subclass
-:class:`~repro.data.dataset.Dataset`: it is a transport type, not a dataset
-container.  It duck-types the columnar surface the inference layer's
-:class:`~repro.inference.columns.ColumnCache` consumes (``column``,
-``column_values``, ``__len__``) so compiled rule evaluation runs on chunks
-directly, and offers ``records``/``labels`` views for the few genuinely
-record-oriented consumers.
+* **N-way concat.**  :func:`concat_chunks` joins a stream's chunks with one
+  ``np.concatenate`` per column and one for the label codes.
 """
 
 from __future__ import annotations
 
 import weakref
 from multiprocessing import shared_memory
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.data.columnar import ColumnarDataset
-from repro.data.dataset import Dataset, Record
+from repro.data.columnar import LABEL_CODE_DTYPE, ColumnarDataset
 from repro.data.schema import Schema
 from repro.exceptions import SchemaError
 
 __all__ = [
-    "Chunk",
     "SharedChunkMeta",
     "chunk_to_shared",
     "chunk_from_shared",
     "concat_chunks",
-    "codes_from_labels",
     "release_shared_chunk",
 ]
 
-#: dtype used for label-code arrays built by this module.  int64 keeps the
-#: codes directly usable as NumPy fancy indexes without casts.
-LABEL_CODE_DTYPE = np.int64
 
-
-def _readonly_view(array: np.ndarray) -> np.ndarray:
-    """A non-writeable view of ``array`` (the caller's array is untouched)."""
-    view = array.view()
-    view.flags.writeable = False
-    return view
-
-
-def codes_from_labels(
-    labels: Union[np.ndarray, Sequence[str]], classes: Sequence[str]
-) -> np.ndarray:
-    """Vectorised label-string → class-index conversion.
-
-    Raises :class:`SchemaError` on a label outside ``classes`` — a silent
-    ``-1`` would alias the last class through fancy indexing.
-    """
-    values = np.asarray(labels, dtype=object)
-    codes = np.full(len(values), -1, dtype=LABEL_CODE_DTYPE)
-    for index, label in enumerate(classes):
-        codes[values == label] = index
-    if len(values) and codes.min() < 0:
-        bad = values[int(np.argmax(codes < 0))]
-        raise SchemaError(
-            f"unknown class label {bad!r}; known: {list(classes)}"
-        )
-    return codes
-
-
-class Chunk:
-    """An immutable batch of labelled (or unlabelled) tuples, one array per column.
-
-    Parameters
-    ----------
-    schema:
-        The attribute schema the columns conform to.
-    columns:
-        Mapping from attribute name to an equal-length 1-D array.  Arrays are
-        wrapped in read-only views; no copies are made.
-    label_codes:
-        Optional integer array indexing into ``classes`` (``None`` for an
-        unlabelled chunk).
-    classes:
-        The class vocabulary the codes index; defaults to
-        ``schema.classes``.
-    owner:
-        Optional object kept alive as long as this chunk is — the
-        shared-memory segment (or any other buffer owner) backing the column
-        arrays.
-    """
-
-    __slots__ = (
-        "schema",
-        "_columns",
-        "_label_codes",
-        "classes",
-        "_owner",
-        "_labels_cache",
-        "_records_cache",
-        "_label_array_cache",
-        "__weakref__",
-    )
-
-    def __init__(
-        self,
-        schema: Schema,
-        columns: Mapping[str, np.ndarray],
-        label_codes: Optional[np.ndarray] = None,
-        classes: Optional[Sequence[str]] = None,
-        owner: object = None,
-    ) -> None:
-        self.schema = schema
-        self.classes: Tuple[str, ...] = (
-            tuple(classes) if classes is not None else tuple(schema.classes)
-        )
-        missing = [a.name for a in schema.attributes if a.name not in columns]
-        if missing:
-            raise SchemaError(f"chunk columns missing for attributes: {missing}")
-        self._columns: Dict[str, np.ndarray] = {}
-        n: Optional[int] = None
-        for attribute in schema.attributes:
-            column = np.asarray(columns[attribute.name])
-            if column.ndim != 1:
-                raise SchemaError(
-                    f"chunk column {attribute.name!r} must be 1-D, "
-                    f"got shape {column.shape}"
-                )
-            if n is None:
-                n = column.shape[0]
-            elif column.shape[0] != n:
-                raise SchemaError(
-                    f"chunk column {attribute.name!r} has length "
-                    f"{column.shape[0]}, expected {n}"
-                )
-            self._columns[attribute.name] = _readonly_view(column)
-        if n is None:
-            n = 0
-        if label_codes is not None:
-            codes = np.asarray(label_codes)
-            if codes.ndim != 1 or codes.shape[0] != n:
-                raise SchemaError(
-                    f"label codes have shape {codes.shape}, expected ({n},)"
-                )
-            if codes.dtype.kind not in "iu":
-                raise SchemaError(
-                    f"label codes must be integers, got dtype {codes.dtype}"
-                )
-            if n and (
-                int(codes.max(initial=0)) >= len(self.classes)
-                or int(codes.min(initial=0)) < 0
-            ):
-                raise SchemaError(
-                    f"label codes must index classes {list(self.classes)}"
-                )
-            self._label_codes: Optional[np.ndarray] = _readonly_view(codes)
-        else:
-            self._label_codes = None
-        self._owner = owner
-        self._labels_cache: Optional[List[str]] = None
-        self._records_cache: Optional[List[Record]] = None
-        self._label_array_cache: Optional[np.ndarray] = None
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_dataset(cls, data: Dataset) -> "Chunk":
-        """Wrap a dataset as a chunk (zero-copy for columnar datasets)."""
-        classes = tuple(data.schema.classes)
-        if isinstance(data, ColumnarDataset):
-            codes = codes_from_labels(data.label_array(), classes)
-            return cls(data.schema, data.columns, codes, classes)
-        columnar = ColumnarDataset(
-            data.schema,
-            _columns_from_records(data.schema, data.records),
-            np.asarray(data.labels, dtype=object),
-            validate=False,
-        )
-        return cls.from_dataset(columnar)
-
-    def concat(self, other: "Chunk") -> "Chunk":
-        """This chunk followed by ``other`` (mirrors ``ColumnarDataset.concat``)."""
-        return concat_chunks((self, other))
-
-    def with_label_codes(
-        self,
-        label_codes: np.ndarray,
-        classes: Optional[Sequence[str]] = None,
-    ) -> "Chunk":
-        """This chunk's columns with a (new) label-code array — zero-copy."""
-        return Chunk(
-            self.schema,
-            self._columns,
-            label_codes,
-            classes if classes is not None else self.classes,
-            owner=self._owner,
-        )
-
-    def without_labels(self) -> "Chunk":
-        """This chunk's columns with the labels dropped — zero-copy."""
-        return Chunk(self.schema, self._columns, None, self.classes, owner=self._owner)
-
-    # -- columnar surface (ColumnCache duck-typing) -------------------------
-
-    @property
-    def columns(self) -> Dict[str, np.ndarray]:
-        """The read-only column arrays, keyed by attribute name."""
-        return self._columns
-
-    def column(self, name: str) -> np.ndarray:
-        """The stored array for attribute ``name`` (zero-copy, read-only)."""
-        try:
-            return self._columns[name]
-        except KeyError as exc:
-            raise SchemaError(
-                f"unknown attribute {name!r}; known: {self.schema.attribute_names}"
-            ) from exc
-
-    def column_values(self, name: str) -> List:
-        """Attribute ``name`` as a list of Python scalars (``ColumnCache`` hook)."""
-        return self.column(name).tolist()
-
-    def __len__(self) -> int:
-        names = self.schema.attribute_names
-        return int(self._columns[names[0]].shape[0]) if names else 0
-
-    # -- labels -------------------------------------------------------------
-
-    @property
-    def is_labelled(self) -> bool:
-        return self._label_codes is not None
-
-    @property
-    def label_codes(self) -> np.ndarray:
-        """The label-code array; :class:`SchemaError` when unlabelled."""
-        if self._label_codes is None:
-            raise SchemaError("chunk carries no labels")
-        return self._label_codes
-
-    def label_array(self) -> np.ndarray:
-        """Labels as an ``object``-dtype string array (cached)."""
-        if self._label_array_cache is None:
-            class_arr = np.empty(len(self.classes), dtype=object)
-            class_arr[:] = list(self.classes)
-            self._label_array_cache = class_arr[self.label_codes]
-        return self._label_array_cache
-
-    def label_indices(self) -> np.ndarray:
-        """Labels as class indices (the codes themselves, as int64)."""
-        codes = self.label_codes
-        return codes if codes.dtype == LABEL_CODE_DTYPE else codes.astype(LABEL_CODE_DTYPE)
-
-    @property
-    def labels(self) -> List[str]:
-        """Labels as a plain list, materialised lazily on first access."""
-        if self._labels_cache is None:
-            self._labels_cache = self.label_array().tolist()
-        return self._labels_cache
-
-    # -- record views (boundary consumers only) -----------------------------
-
-    @property
-    def records(self) -> List[Record]:
-        """Per-record dicts, materialised lazily on first access.
-
-        This is the escape hatch for genuinely record-oriented consumers
-        (tree induction, JSON export); the pipeline hot paths never call it.
-        """
-        if self._records_cache is None:
-            names = self.schema.attribute_names
-            lists = [self._columns[name].tolist() for name in names]
-            self._records_cache = (
-                [dict(zip(names, values)) for values in zip(*lists)] if lists else []
-            )
-        return self._records_cache
-
-    def iter_rows(self) -> Iterator[Tuple[Record, Optional[str]]]:
-        """Yield ``(record, label)`` pairs one at a time without caching."""
-        names = self.schema.attribute_names
-        lists = [self._columns[name].tolist() for name in names]
-        labels: Iterable = (
-            self.label_array().tolist() if self.is_labelled else iter(lambda: None, 0)
-        )
-        for values, label in zip(zip(*lists), labels):
-            yield dict(zip(names, values)), label
-
-    # -- slicing ------------------------------------------------------------
-
-    def slice(self, start: int, stop: Optional[int] = None) -> "Chunk":
-        """Rows ``start:stop`` as a zero-copy chunk view."""
-        window = slice(start, stop)
-        columns = {name: column[window] for name, column in self._columns.items()}
-        codes = self._label_codes[window] if self._label_codes is not None else None
-        return Chunk(self.schema, columns, codes, self.classes, owner=self._owner)
-
-    def split(self, size: int) -> Iterator["Chunk"]:
-        """Yield zero-copy sub-chunks of at most ``size`` rows, in order."""
-        if size <= 0:
-            raise SchemaError(f"split size must be positive, got {size}")
-        n = len(self)
-        for start in range(0, n, size):
-            yield self.slice(start, min(start + size, n))
-
-    # -- conversions --------------------------------------------------------
-
-    def to_columnar(self) -> ColumnarDataset:
-        """An equivalent :class:`ColumnarDataset` (labels as strings)."""
-        return ColumnarDataset(
-            self.schema, self._columns, self.label_array(), validate=False
-        )
-
-    def __repr__(self) -> str:
-        state = "labelled" if self.is_labelled else "unlabelled"
-        return (
-            f"Chunk(n={len(self)}, attributes={self.schema.n_attributes}, "
-            f"classes={list(self.classes)}, {state})"
-        )
-
-
-def concat_chunks(chunks: Sequence[Chunk]) -> Chunk:
-    """One chunk holding every row of ``chunks``, in order.
+def concat_chunks(chunks: Sequence[ColumnarDataset]) -> ColumnarDataset:
+    """One dataset holding every row of ``chunks``, in order.
 
     One ``np.concatenate`` per column (and one for the label codes); the
-    inputs must agree on attribute names and class vocabulary and be either
-    all labelled or all unlabelled.
+    inputs must agree on attribute names and class vocabulary.
     """
     if not chunks:
         raise SchemaError("cannot concatenate zero chunks")
@@ -372,35 +67,10 @@ def concat_chunks(chunks: Sequence[Chunk]) -> Chunk:
         name: np.concatenate([c.column(name) for c in chunks])
         for name in head.schema.attribute_names
     }
-    labelled = [c.is_labelled for c in chunks]
-    if all(labelled):
-        codes: Optional[np.ndarray] = np.concatenate(
-            [c.label_codes for c in chunks]
-        )
-    elif any(labelled):
-        raise SchemaError("cannot concatenate labelled and unlabelled chunks")
-    else:
-        codes = None
-    return Chunk(head.schema, columns, codes, head.classes)
-
-
-def _columns_from_records(
-    schema: Schema, records: Sequence[Record]
-) -> Dict[str, np.ndarray]:
-    """Column arrays from record dicts, with the library's standard dtypes."""
-    columns: Dict[str, np.ndarray] = {}
-    for attribute in schema.attributes:
-        values = [record[attribute.name] for record in records]
-        if attribute.is_continuous:
-            dtype = np.int64 if getattr(attribute, "integer", False) else float
-            columns[attribute.name] = np.asarray(values, dtype=dtype)
-        elif all(isinstance(v, (int, np.integer)) for v in getattr(attribute, "values", ())):
-            columns[attribute.name] = np.asarray(values, dtype=np.int64)
-        else:
-            column = np.empty(len(values), dtype=object)
-            column[:] = values
-            columns[attribute.name] = column
-    return columns
+    codes = np.concatenate([c.label_codes for c in chunks])
+    return ColumnarDataset(
+        head.schema, columns, codes, validate=False, classes=head.classes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +91,8 @@ class SharedChunkMeta(Tuple):
         n: int,
         dtypes: Tuple[str, ...],
         classes: Tuple[str, ...],
-        labelled: bool,
     ) -> "SharedChunkMeta":
-        return super().__new__(cls, (name, n, dtypes, classes, labelled))
+        return super().__new__(cls, (name, n, dtypes, classes))
 
     def __getnewargs__(self) -> Tuple:
         # tuple subclasses pickle through __new__; hand the fields back as
@@ -446,10 +115,6 @@ class SharedChunkMeta(Tuple):
     def classes(self) -> Tuple[str, ...]:
         return self[3]
 
-    @property
-    def labelled(self) -> bool:
-        return self[4]
-
 
 def _transport_dtype(column: np.ndarray, attribute_name: str) -> np.dtype:
     if column.dtype.kind not in "biuf":
@@ -461,13 +126,14 @@ def _transport_dtype(column: np.ndarray, attribute_name: str) -> np.dtype:
     return column.dtype
 
 
-def chunk_to_shared(chunk: Chunk) -> SharedChunkMeta:
-    """Copy ``chunk`` into a fresh shared-memory segment.
+def chunk_to_shared(chunk: ColumnarDataset) -> SharedChunkMeta:
+    """Copy ``chunk`` (columns, then label codes) into a fresh shared-memory
+    segment.
 
     Returns the :class:`SharedChunkMeta` the *consumer* process turns back
-    into a :class:`Chunk` with :func:`chunk_from_shared`.  The producer's
-    segment handle is closed immediately — ownership (including the unlink)
-    passes to the consumer.
+    into a dataset with :func:`chunk_from_shared`.  The producer's segment
+    handle is closed immediately — ownership (including the unlink) passes
+    to the consumer.
     """
     names = chunk.schema.attribute_names
     arrays: List[np.ndarray] = []
@@ -477,11 +143,7 @@ def chunk_to_shared(chunk: Chunk) -> SharedChunkMeta:
         _transport_dtype(column, name)
         arrays.append(column)
         dtypes.append(column.dtype.str)
-    labelled = chunk.is_labelled
-    if labelled:
-        codes = np.ascontiguousarray(chunk.label_codes, dtype=LABEL_CODE_DTYPE)
-        arrays.append(codes)
-        dtypes.append(codes.dtype.str)
+    arrays.append(np.ascontiguousarray(chunk.label_codes))
     total = sum(a.nbytes for a in arrays)
     segment = shared_memory.SharedMemory(create=True, size=max(total, 1))
     try:
@@ -490,9 +152,7 @@ def chunk_to_shared(chunk: Chunk) -> SharedChunkMeta:
             target = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf, offset=offset)
             target[:] = array
             offset += array.nbytes
-        meta = SharedChunkMeta(
-            segment.name, len(chunk), tuple(dtypes), tuple(chunk.classes), labelled
-        )
+        meta = SharedChunkMeta(segment.name, len(chunk), tuple(dtypes), chunk.classes)
     except BaseException:
         segment.close()
         segment.unlink()
@@ -513,10 +173,11 @@ def chunk_to_shared(chunk: Chunk) -> SharedChunkMeta:
     return meta
 
 
-def chunk_from_shared(schema: Schema, meta: SharedChunkMeta) -> Chunk:
-    """Map a shared-memory segment back into a zero-copy :class:`Chunk`.
+def chunk_from_shared(schema: Schema, meta: SharedChunkMeta) -> ColumnarDataset:
+    """Map a shared-memory segment back into a zero-copy
+    :class:`~repro.data.columnar.ColumnarDataset`.
 
-    The returned chunk owns the segment: when the chunk (and every slice
+    The returned chunk owns the segment: when the chunk (and every subset
     taken from it) is garbage-collected, the segment is closed and unlinked.
     """
     # Attaching does not register with the resource tracker (only create
@@ -533,11 +194,12 @@ def chunk_from_shared(schema: Schema, meta: SharedChunkMeta) -> Chunk:
             (meta.n,), dtype=dtype, buffer=segment.buf, offset=offset
         )
         offset += meta.n * dtype.itemsize
-    codes: Optional[np.ndarray] = None
-    if meta.labelled:
-        dtype = np.dtype(meta.dtypes[len(names)])
-        codes = np.ndarray((meta.n,), dtype=dtype, buffer=segment.buf, offset=offset)
-    return Chunk(schema, columns, codes, meta.classes, owner=segment)
+    codes = np.ndarray(
+        (meta.n,), dtype=LABEL_CODE_DTYPE, buffer=segment.buf, offset=offset
+    )
+    return ColumnarDataset(
+        schema, columns, codes, validate=False, classes=meta.classes, owner=segment
+    )
 
 
 def _release_segment(name: str) -> None:
@@ -559,7 +221,7 @@ def _release_segment(name: str) -> None:
         pass
 
 
-def release_shared_chunk(chunk: Chunk) -> None:
+def release_shared_chunk(chunk: ColumnarDataset) -> None:
     """Explicitly release a shared-memory-backed chunk's segment.
 
     Optional — the finalizer installed by :func:`chunk_from_shared` releases

@@ -1,27 +1,37 @@
-"""Columnar dataset storage: one NumPy array per attribute.
+"""Columnar datasets: one NumPy array per attribute, labels as class codes.
 
-:class:`ColumnarDataset` is the columnar counterpart of
-:class:`~repro.data.dataset.Dataset`: the same schema/records/labels contract,
-but backed by per-attribute NumPy arrays instead of a Python list of dicts.
-It is what the vectorised Agrawal generator produces and what the encoder's
-batch path consumes — multi-million-tuple workloads never build a per-record
-dict unless something genuinely record-oriented (C4.5 tree induction, JSON
-export of single tuples) asks for one.
+:class:`ColumnarDataset` is the library's one columnar container.  It is a
+:class:`~repro.data.dataset.Dataset` (the same schema/records/labels
+contract training relies on) backed by per-attribute NumPy arrays instead of
+a Python list of dicts, and it is the type every stage of the data plane
+hands on: the vectorised Agrawal generator and its chunk streams, the
+synthetic sets, the shared-memory fan-out of :mod:`repro.data.chunks`, the
+encoder's batch path, rule serving, and the tuple store in both directions.
+Multi-million-tuple workloads never build a per-record dict unless something
+genuinely record-oriented (C4.5 tree induction, JSON export of single
+tuples) asks for one.
 
 Design notes
 ------------
-* ``ColumnarDataset`` subclasses ``Dataset`` so every ``isinstance(x,
-  Dataset)`` call site keeps working; ``records`` and ``labels`` become lazy
-  properties that materialise (and cache) plain-Python structures on first
-  access.  Materialised records carry Python scalars (``int``/``float``/
-  ``str``), so they compare equal to scalar-generated records and serialise
-  straight to JSON.
+* Columns are read-only views of the arrays they were built from; an
+  optional buffer ``owner`` (a shared-memory segment) is kept alive as long
+  as the dataset or any view taken from it is.
+* Labels are stored once, as an ``int64`` code array indexing the dataset's
+  ``classes`` tuple (``schema.classes`` unless a model's vocabulary says
+  otherwise).  Label strings are derived only on request (``labels``,
+  ``label_array()``); a load or a classification that works on codes never
+  builds them.  :func:`codes_from_labels` is the one check for an unknown
+  label.
+* ``records`` and ``labels`` are lazy properties that materialise (and
+  cache) plain-Python structures on first access.  Materialised records
+  carry Python scalars (``int``/``float``/``bool``/``str``), so they compare
+  equal to scalar-generated records and serialise straight to JSON.
 * ``subset`` with a ``range``/``slice`` of step 1 returns zero-copy column
   *views* — the nested Table-3 prefix test sets of
   :mod:`repro.experiments.function4` share the parent's memory.
-* Integer-valued attributes keep an integer dtype (the schema's ``integer``
-  flag and categorical int domains drive this), fixing the float/int
-  inconsistency of the old per-record generator.
+* :func:`storage_dtype` is the one rule typing a column from its attribute:
+  columns built from records, the database DDL and the store's read-back
+  path all derive from it.
 """
 
 from __future__ import annotations
@@ -31,10 +41,63 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.data.dataset import Dataset, Record
-from repro.data.schema import AttributeValue, Schema
+from repro.data.schema import Attribute, AttributeValue, Schema
 from repro.exceptions import DataGenerationError, SchemaError
 
 Indices = Union[Sequence[int], range, slice, np.ndarray]
+
+#: dtype of every label-code array.  int64 keeps the codes directly usable
+#: as NumPy fancy indexes without casts.
+LABEL_CODE_DTYPE = np.int64
+
+
+def storage_dtype(attribute: Attribute):
+    """NumPy dtype of a column holding ``attribute``'s values.
+
+    Integer-flagged continuous attributes are ``int64`` and other continuous
+    attributes ``float``; categorical domains of booleans are ``bool``, of
+    (non-boolean) integers ``int64``, and anything else ``object``.  A
+    ``True`` therefore stays a ``True`` on every path, never the integer 1.
+    """
+    if attribute.is_continuous:
+        return np.int64 if getattr(attribute, "integer", False) else float
+    values = attribute.values
+    if all(isinstance(value, (bool, np.bool_)) for value in values):
+        return np.bool_
+    if all(
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        for value in values
+    ):
+        return np.int64
+    return object
+
+
+def codes_from_labels(
+    labels: Union[np.ndarray, Sequence[str]], classes: Sequence[str]
+) -> np.ndarray:
+    """Vectorised label → class-index conversion.
+
+    Raises :class:`SchemaError` on a label outside ``classes`` — a silent
+    ``-1`` would alias the last class through fancy indexing.
+    """
+    values = labels if isinstance(labels, np.ndarray) else np.asarray(labels, dtype=object)
+    if values.dtype.kind != "U" or not all(isinstance(c, str) for c in classes):
+        # Fixed-width strings compare natively; anything else as objects.
+        values = values.astype(object, copy=False)
+    codes = np.full(len(values), -1, dtype=LABEL_CODE_DTYPE)
+    for index, label in enumerate(classes):
+        codes[values == label] = index
+    if len(values) and codes.min() < 0:
+        bad = values[int(np.argmax(codes < 0))]
+        raise SchemaError(f"unknown class label {bad!r}; known: {list(classes)}")
+    return codes
+
+
+def _readonly_view(array: np.ndarray) -> np.ndarray:
+    """A non-writeable view of ``array`` (the caller's array is untouched)."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def _as_slice(indices: Indices) -> Optional[slice]:
@@ -66,11 +129,21 @@ class ColumnarDataset(Dataset):
     columns:
         Mapping from attribute name to an equal-length 1-D array (anything
         ``np.asarray`` accepts).  Every schema attribute must be present.
+        The dataset holds read-only views; no copies are made.
     labels:
-        Class label per row: an array or sequence of strings.
+        One class label per row: the labels themselves (strings), or an
+        integer array of codes indexing ``classes``.
     validate:
         When ``True``, vectorised range/domain checks run over every column
-        (the columnar analogue of ``Schema.validate_record``).
+        (the columnar analogue of ``Schema.validate_record``).  Labels are
+        checked either way.
+    classes:
+        The class vocabulary the labels index; defaults to
+        ``schema.classes``.
+    owner:
+        Optional object kept alive as long as this dataset is — the
+        shared-memory segment (or any other buffer owner) backing the
+        column arrays.
     """
 
     def __init__(
@@ -79,11 +152,16 @@ class ColumnarDataset(Dataset):
         columns: Mapping[str, Union[np.ndarray, Sequence[AttributeValue]]],
         labels: Union[np.ndarray, Sequence[str]],
         validate: bool = True,
+        classes: Optional[Sequence[str]] = None,
+        owner: object = None,
     ) -> None:
         # Deliberately no super().__init__(): records/labels are lazy
         # properties here, not stored fields.
         self.schema = schema
         self.validate = validate
+        self.classes: Tuple[str, ...] = tuple(
+            classes if classes is not None else schema.classes
+        )
         missing = [a.name for a in schema.attributes if a.name not in columns]
         if missing:
             raise SchemaError(f"columns missing for attributes: {missing}")
@@ -105,31 +183,29 @@ class ColumnarDataset(Dataset):
                     f"column {attribute.name!r} has length {column.shape[0]}, "
                     f"expected {n}"
                 )
-            self._columns[attribute.name] = column
-        label_array = np.asarray(labels)
-        if label_array.ndim != 1 or (n is not None and label_array.shape[0] != n):
-            raise SchemaError(
-                f"labels have shape {label_array.shape}, expected ({n},)"
-            )
-        self._label_values = label_array
+            self._columns[attribute.name] = _readonly_view(column)
         self._n = int(n if n is not None else 0)
+        label_array = np.asarray(labels)
+        if label_array.shape != (self._n,):
+            raise SchemaError(
+                f"labels have shape {label_array.shape}, expected ({self._n},)"
+            )
+        if label_array.dtype.kind in "iu":
+            if self._n and (
+                int(label_array.min()) < 0 or int(label_array.max()) >= len(self.classes)
+            ):
+                raise SchemaError(f"label codes must index classes {list(self.classes)}")
+            codes = label_array.astype(LABEL_CODE_DTYPE, copy=False)
+        else:
+            codes = codes_from_labels(label_array, self.classes)
+        self._label_codes = _readonly_view(codes)
+        self._owner = owner
         self._records_cache: Optional[List[Record]] = None
         self._labels_cache: Optional[List[str]] = None
-        self._label_array = None  # mirrors the Dataset field used by label_indices
         if validate:
             self._validate_columns()
 
     # -- validation --------------------------------------------------------
-
-    def _check_labels(self, labels: np.ndarray) -> None:
-        """Raise :class:`SchemaError` when any label is outside the classes."""
-        outside = ~np.isin(labels, np.asarray(self.schema.classes))
-        if outside.any():
-            index = int(np.argmax(outside))
-            raise SchemaError(
-                f"unknown class label {labels[index]!r}; "
-                f"known: {list(self.schema.classes)}"
-            )
 
     def _validate_columns(self) -> None:
         """Vectorised schema validation over whole columns."""
@@ -166,17 +242,16 @@ class ColumnarDataset(Dataset):
                         f"attribute {attribute.name!r}: value "
                         f"{column[index]!r} not in domain {attribute.values!r}"
                     )
-        self._check_labels(self._label_values)
 
     # -- columnar access ---------------------------------------------------
 
     @property
     def columns(self) -> Dict[str, np.ndarray]:
-        """The stored column arrays, keyed by attribute name (do not mutate)."""
+        """The read-only column arrays, keyed by attribute name."""
         return self._columns
 
     def column(self, name: str) -> np.ndarray:
-        """The stored array for attribute ``name`` (zero-copy)."""
+        """The stored array for attribute ``name`` (zero-copy, read-only)."""
         try:
             return self._columns[name]
         except KeyError as exc:
@@ -192,9 +267,31 @@ class ColumnarDataset(Dataset):
         """
         return self.column(name).tolist()
 
+    # -- labels ------------------------------------------------------------
+
+    @property
+    def label_codes(self) -> np.ndarray:
+        """The read-only ``int64`` label codes, indexing :attr:`classes`."""
+        return self._label_codes
+
+    def with_label_codes(
+        self, label_codes: np.ndarray, classes: Optional[Sequence[str]] = None
+    ) -> "ColumnarDataset":
+        """These columns with a new label-code array — zero-copy."""
+        return ColumnarDataset(
+            self.schema,
+            self._columns,
+            label_codes,
+            validate=False,
+            classes=classes if classes is not None else self.classes,
+            owner=self._owner,
+        )
+
     def label_array(self) -> np.ndarray:
-        """The stored label array (zero-copy)."""
-        return self._label_values
+        """Labels as an ``object``-dtype array, derived from the codes."""
+        class_array = np.empty(len(self.classes), dtype=object)
+        class_array[:] = list(self.classes)
+        return class_array[self._label_codes]
 
     # -- Dataset contract --------------------------------------------------
 
@@ -213,7 +310,7 @@ class ColumnarDataset(Dataset):
     def labels(self) -> List[str]:  # type: ignore[override]
         """Labels as a plain list, materialised lazily on first access."""
         if self._labels_cache is None:
-            self._labels_cache = self._label_values.tolist()
+            self._labels_cache = self.label_array().tolist()
         return self._labels_cache
 
     @property
@@ -228,7 +325,7 @@ class ColumnarDataset(Dataset):
         return (
             f"ColumnarDataset(n={self._n}, "
             f"attributes={self.schema.n_attributes}, "
-            f"classes={self.schema.classes})"
+            f"classes={self.classes})"
         )
 
     def __eq__(self, other: object) -> bool:
@@ -253,21 +350,17 @@ class ColumnarDataset(Dataset):
         return out
 
     def label_indices(self) -> np.ndarray:
-        if self._label_array is None:
-            out = np.full(self._n, -1, dtype=int)
-            for index, label in enumerate(self.schema.classes):
-                out[self._label_values == label] = index
-            if (out == -1).any():
-                # Fail fast like the record-backed Dataset: an unmapped label
-                # must not silently alias the last class through index -1.
-                self._check_labels(self._label_values)
-            self._label_array = out
-        return self._label_array
+        """Labels as indices into ``schema.classes`` (the codes themselves
+        unless this dataset carries another class vocabulary)."""
+        if self.classes == tuple(self.schema.classes):
+            return self._label_codes
+        return codes_from_labels(self.label_array(), self.schema.classes)
 
     def class_distribution(self) -> Dict[str, int]:
-        values, counts = np.unique(self._label_values, return_counts=True)
-        by_label = dict(zip(values.tolist(), counts.tolist()))
-        return {c: int(by_label.get(c, 0)) for c in self.schema.classes}
+        counts = np.bincount(self._label_codes, minlength=len(self.classes))
+        distribution = dict.fromkeys(self.schema.classes, 0)
+        distribution.update(zip(self.classes, counts.tolist()))
+        return distribution
 
     def class_skew(self) -> float:
         if not self._n:
@@ -279,10 +372,11 @@ class ColumnarDataset(Dataset):
     def subset(self, indices: Indices) -> Dataset:
         """Row subset; prefix/slice selections are zero-copy column views.
 
-        Once the per-record dicts exist, subsetting returns a record-backed
-        :class:`Dataset` sharing the dict objects instead — recursive
-        consumers (C4.5 tree induction) would otherwise rebuild dicts for
-        every partition.
+        Views share the parent's per-record dicts once those exist.  Other
+        selections copy the picked rows — except once the dicts exist, when
+        they return a record-backed :class:`Dataset` sharing the dict
+        objects: recursive consumers (C4.5 tree induction) would otherwise
+        rebuild dicts for every partition.
         """
         if isinstance(indices, range) and len(indices) > 0:
             # NumPy slice views would silently clamp an out-of-range window;
@@ -296,22 +390,28 @@ class ColumnarDataset(Dataset):
                     f"subset range {indices!r} out of bounds for dataset of "
                     f"length {self._n}"
                 )
-        if self._records_cache is not None:
-            if isinstance(indices, slice):
-                indices = range(*indices.indices(self._n))
-            elif not isinstance(indices, (list, tuple, range)):
+        window = _as_slice(indices)
+        if window is None and self._records_cache is not None:
+            if not isinstance(indices, (list, tuple, range)):
                 indices = list(indices)
             return super().subset(indices)
-        window = _as_slice(indices)
         selector: Union[slice, np.ndarray]
         if window is not None:
             selector = window
         else:
             selector = np.asarray(indices, dtype=np.intp)
         columns = {name: column[selector] for name, column in self._columns.items()}
-        return ColumnarDataset(
-            self.schema, columns, self._label_values[selector], validate=False
+        picked = ColumnarDataset(
+            self.schema,
+            columns,
+            self._label_codes[selector],
+            validate=False,
+            classes=self.classes,
+            owner=self._owner,
         )
+        if window is not None and self._records_cache is not None:
+            picked._records_cache = self._records_cache[window]
+        return picked
 
     def concat(self, other: Dataset) -> Dataset:
         if other.schema.attribute_names != self.schema.attribute_names:
@@ -319,12 +419,10 @@ class ColumnarDataset(Dataset):
         if other.schema.classes != self.schema.classes:
             raise SchemaError("cannot concatenate datasets with different class labels")
         if isinstance(other, ColumnarDataset):
-            columns = {
-                name: np.concatenate([column, other._columns[name]])
-                for name, column in self._columns.items()
-            }
-            labels = np.concatenate([self._label_values, other._label_values])
-            return ColumnarDataset(self.schema, columns, labels, validate=False)
+            # Imported here: the chunk module builds on this one.
+            from repro.data.chunks import concat_chunks
+
+            return concat_chunks((self, other))
         return Dataset(
             self.schema,
             self.records + other.records,
@@ -333,9 +431,9 @@ class ColumnarDataset(Dataset):
         )
 
     def relabelled(self, labeller: Callable[[Record], str]) -> Dataset:
-        labels = [self.schema.validate_label(labeller(r)) for r in self.records]
+        codes = codes_from_labels([labeller(r) for r in self.records], self.schema.classes)
         return ColumnarDataset(
-            self.schema, self._columns, np.asarray(labels), validate=False
+            self.schema, self._columns, codes, validate=False, owner=self._owner
         )
 
     def relabelled_batch(self, batch_labeller: Callable[[Mapping[str, np.ndarray]], np.ndarray]) -> "ColumnarDataset":
@@ -345,10 +443,10 @@ class ColumnarDataset(Dataset):
             raise SchemaError(
                 f"batch labeller returned shape {labels.shape}, expected ({self._n},)"
             )
-        # Mirror relabelled()'s per-record validate_label, vectorised: an
-        # unknown label must raise, not silently alias a class index.
-        self._check_labels(labels)
-        return ColumnarDataset(self.schema, self._columns, labels, validate=False)
+        codes = codes_from_labels(labels, self.schema.classes)
+        return ColumnarDataset(
+            self.schema, self._columns, codes, validate=False, owner=self._owner
+        )
 
     def to_dataset(self) -> Dataset:
         """An equivalent record-backed :class:`Dataset` (materialises)."""
@@ -363,7 +461,7 @@ class ColumnarDataset(Dataset):
         """
         names = self.schema.attribute_names
         lists = [self._columns[name].tolist() for name in names]
-        labels = self._label_values.tolist()
+        labels = self.label_array().tolist()
         for row, label in zip(zip(*lists), labels):
             yield dict(zip(names, row)), label
 
@@ -376,9 +474,10 @@ def columnar_from_records(
 ) -> ColumnarDataset:
     """Build a :class:`ColumnarDataset` from per-record mappings.
 
-    Integer-flagged continuous attributes and all-int categorical domains get
-    integer columns; other continuous attributes get float columns; anything
-    else falls back to object dtype.
+    Each column gets its attribute's :func:`storage_dtype`.  With
+    ``validate``, a categorical value the cast would change (``2`` or
+    ``"yes"`` becoming ``True``, ``2.5`` becoming ``2``) is rejected like
+    any other value outside the domain.
     """
     columns: Dict[str, np.ndarray] = {}
     for attribute in schema.attributes:
@@ -386,13 +485,21 @@ def columnar_from_records(
             values = [record[attribute.name] for record in records]
         except KeyError as exc:
             raise SchemaError(f"record missing attribute {attribute.name!r}") from exc
-        if attribute.is_continuous:
-            dtype = np.int64 if getattr(attribute, "integer", False) else float
-            columns[attribute.name] = np.asarray(values, dtype=dtype)
-        elif all(isinstance(v, (int, np.integer)) for v in attribute.values):
-            columns[attribute.name] = np.asarray(values, dtype=np.int64)
-        else:
+        dtype = storage_dtype(attribute)
+        if dtype is object:
             column = np.empty(len(values), dtype=object)
             column[:] = values
-            columns[attribute.name] = column
-    return ColumnarDataset(schema, columns, np.asarray(labels), validate=validate)
+        else:
+            column = np.asarray(values, dtype=dtype)
+            if validate and not attribute.is_continuous:
+                cast = column.tolist()
+                if cast != values:
+                    bad = next(v for v, c in zip(values, cast) if v != c)
+                    raise SchemaError(
+                        f"attribute {attribute.name!r}: value {bad!r} "
+                        f"not in domain {attribute.values!r}"
+                    )
+        columns[attribute.name] = column
+    return ColumnarDataset(
+        schema, columns, np.asarray(labels, dtype=object), validate=validate
+    )

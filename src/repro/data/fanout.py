@@ -4,8 +4,9 @@ The generation side of the pipeline is embarrassingly parallel — each chunk
 of an Agrawal workload is an independent draw from its own seed child — but a
 naive process pool pays to pickle every produced row back to the parent.
 :class:`ChunkFanout` keeps the pool and kills the pickling: workers build
-their :class:`~repro.data.chunks.Chunk` locally, park its columns in a
-shared-memory segment via :func:`~repro.data.chunks.chunk_to_shared`, and
+their chunk (a :class:`~repro.data.columnar.ColumnarDataset`) locally, park
+its columns in a shared-memory segment via
+:func:`~repro.data.chunks.chunk_to_shared`, and
 send only the tiny :class:`~repro.data.chunks.SharedChunkMeta` descriptor
 back; the parent maps the segment into zero-copy arrays with
 :func:`~repro.data.chunks.chunk_from_shared`.
@@ -16,7 +17,7 @@ pool's shared-memory footprint instead of letting it grow with ``n``.
 
 Producers must be *top-level callables* (pickled by reference under every
 start method); each job is ``(args, kwargs)`` for one producer call returning
-a :class:`Chunk`.
+a :class:`~repro.data.columnar.ColumnarDataset`.
 
 Telemetry rides the same channel as the data: when tracing is enabled, each
 worker wraps its producer call in a ``fanout.produce`` span, exports its
@@ -35,12 +36,12 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro import obs
 from repro.data.chunks import (
-    Chunk,
     SharedChunkMeta,
     chunk_from_shared,
     chunk_to_shared,
     release_shared_chunk,
 )
+from repro.data.columnar import ColumnarDataset
 from repro.data.schema import Schema
 from repro.exceptions import DataGenerationError
 
@@ -52,7 +53,7 @@ _PREFETCH = 2
 
 
 def _run_job(
-    producer: Callable[..., Chunk],
+    producer: Callable[..., ColumnarDataset],
     args: Tuple[Any, ...],
     kwargs: Dict[str, Any],
     capture: bool = False,
@@ -68,9 +69,10 @@ def _run_job(
         obs.enable_tracing()
     with obs.trace("fanout.produce", job=job) as span:
         chunk = producer(*args, **kwargs)
-        if not isinstance(chunk, Chunk):
+        if not isinstance(chunk, ColumnarDataset):
             raise DataGenerationError(
-                f"fan-out producer returned {type(chunk).__name__}, expected Chunk"
+                f"fan-out producer returned {type(chunk).__name__}, "
+                "expected ColumnarDataset"
             )
         span.set(rows=len(chunk))
         meta = chunk_to_shared(chunk)
@@ -117,9 +119,9 @@ class ChunkFanout:
 
     def imap(
         self,
-        producer: Callable[..., Chunk],
+        producer: Callable[..., ColumnarDataset],
         jobs: Sequence[Tuple[Tuple[Any, ...], Dict[str, Any]]],
-    ) -> Iterator[Chunk]:
+    ) -> Iterator[ColumnarDataset]:
         """Yield ``producer(*args, **kwargs)`` chunks in job order.
 
         At most ``processes + prefetch`` jobs are in flight at once; the
@@ -181,10 +183,10 @@ class ChunkFanout:
 
 def fanout_chunks(
     schema: Schema,
-    producer: Callable[..., Chunk],
+    producer: Callable[..., ColumnarDataset],
     jobs: Sequence[Tuple[Tuple[Any, ...], Dict[str, Any]]],
     processes: int,
     prefetch: int = _PREFETCH,
-) -> Iterator[Chunk]:
+) -> Iterator[ColumnarDataset]:
     """One-call convenience wrapper around :meth:`ChunkFanout.imap`."""
     return ChunkFanout(schema, processes, prefetch).imap(producer, jobs)

@@ -53,10 +53,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.data.chunks import Chunk
+from repro.data.columnar import ColumnarDataset, storage_dtype
 from repro.data.schema import Schema
 from repro.db.dialect import SQLITE, SqlDialect
-from repro.db.schema import schema_ddl, storage_dtype
+from repro.db.schema import schema_ddl
 from repro.exceptions import DatabaseError
 
 __all__ = ["RawLoadUnsupported", "RawSqliteWriter", "schema_supports_raw"]
@@ -141,7 +141,7 @@ class RawSqliteWriter:
     def __len__(self) -> int:
         return self._n
 
-    def append(self, chunk: Chunk) -> None:
+    def append(self, chunk: ColumnarDataset) -> None:
         """Queue one labelled chunk (column references only, no copies)."""
         if chunk.schema.attribute_names != self.schema.attribute_names:
             raise DatabaseError(

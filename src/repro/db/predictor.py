@@ -31,6 +31,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING, Uni
 import numpy as np
 
 from repro import obs
+from repro.data.columnar import ColumnarDataset
 from repro.data.dataset import Dataset, Record
 from repro.data.schema import Schema
 from repro.db.dialect import SQLITE, SqlDialect
@@ -348,8 +349,6 @@ class SqlRulePredictor:
                 "SqlRulePredictor classifies records, not encoded matrices; "
                 "pass a dataset or a sequence of attribute mappings"
             )
-        from repro.data.columnar import ColumnarDataset
-
         if isinstance(data, ColumnarDataset):
             # tolist() already yields Python scalars; no per-value unwrap.
             return dataset_rows(data, include_label=False), len(data)

@@ -1,11 +1,14 @@
 """DDL derivation: from attribute schemas to ``CREATE TABLE`` statements.
 
-The mapping mirrors how the rest of the library types columns (see
-:func:`repro.data.columnar.columnar_from_records`):
+Column types follow :func:`repro.data.columnar.storage_dtype`, the one rule
+that also types columns built from records and the store's read-back
+chunks, so write and read typing cannot drift:
 
 * continuous attributes with the ``integer`` flag (``age``, ``hyears``) and
   categorical attributes over all-integer domains (``elevel``, ``car``,
   ``zipcode``) become ``INTEGER`` columns;
+* boolean domains become ``INTEGER`` 0/1 columns in SQLite (``BOOLEAN`` in
+  dialects whose boolean literals are keywords) and read back as ``bool``;
 * other continuous attributes become ``REAL``;
 * everything else (string-valued categorical domains) becomes ``TEXT``.
 
@@ -20,32 +23,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.data.schema import Attribute, CategoricalAttribute, Schema
+from repro.data.columnar import storage_dtype
+from repro.data.schema import Attribute, Schema
 from repro.db.dialect import SQLITE, SqlDialect
 from repro.exceptions import DatabaseError
-
-
-def storage_dtype(attribute: Attribute):
-    """NumPy dtype a stored column reads back as.
-
-    The single source of the schema → storage typing rule: the DDL
-    (:func:`column_type`) and the columnar read-back path
-    (:meth:`TupleStore.iter_chunks <repro.db.store.TupleStore.iter_chunks>`)
-    both derive from it, so write and read typing cannot drift.  Boolean
-    domains are stored as 0/1 integers and come back as ``bool`` so a
-    loaded ``True`` round-trips as ``True``, not ``1``.
-    """
-    if attribute.is_continuous:
-        return np.int64 if getattr(attribute, "integer", False) else float
-    assert isinstance(attribute, CategoricalAttribute)
-    if all(isinstance(value, bool) for value in attribute.values):
-        return np.bool_
-    if all(
-        isinstance(value, int) and not isinstance(value, bool)
-        for value in attribute.values
-    ):
-        return np.int64
-    return object
 
 
 def column_type(attribute: Attribute, dialect: SqlDialect = SQLITE) -> str:

@@ -2,13 +2,16 @@
 
 :class:`TupleStore` owns one :mod:`sqlite3` connection and one relation whose
 columns are derived from a :class:`~repro.data.schema.Schema` (see
-:func:`repro.db.schema.schema_ddl`).  Loading is batched ``executemany`` over
-bounded slices, so a multi-million-tuple :meth:`AgrawalGenerator.iter_chunks
-<repro.data.agrawal.AgrawalGenerator.iter_chunks>` stream lands on disk
-without ever materialising in Python; reading back is symmetric —
-:meth:`TupleStore.iter_chunks` turns cursor pages back into
-:class:`~repro.data.columnar.ColumnarDataset` chunks for the NumPy inference
-path, and :meth:`TupleStore.iter_rows` yields per-record dicts for anything
+:func:`repro.db.schema.schema_ddl`).  The store speaks the library's one
+columnar type in both directions: :meth:`TupleStore.load` takes a
+:class:`~repro.data.columnar.ColumnarDataset` — or a multi-million-tuple
+stream of them such as :meth:`AgrawalGenerator.iter_chunks
+<repro.data.agrawal.AgrawalGenerator.iter_chunks>` — through batched
+``executemany`` over bounded slices or the raw-page writer, so the tuples
+land on disk without ever materialising in Python; reading back is
+symmetric — :meth:`TupleStore.iter_chunks` turns cursor pages back into
+``ColumnarDataset`` chunks for the NumPy inference path, and
+:meth:`TupleStore.iter_rows` yields per-record dicts for anything
 record-oriented.
 
 Row order is insertion order throughout (every read is ``ORDER BY rowid``),
@@ -27,8 +30,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.data.chunks import Chunk
-from repro.data.columnar import ColumnarDataset
+from repro.data.columnar import ColumnarDataset, columnar_from_records, storage_dtype
 from repro.data.dataset import Dataset, Record
 from repro.data.schema import Schema
 from repro.db.dialect import SQLITE, SqlDialect
@@ -43,7 +45,6 @@ from repro.db.schema import (
     insert_sql,
     label_index_ddl,
     schema_ddl,
-    storage_dtype,
 )
 from repro.exceptions import DatabaseError
 
@@ -57,19 +58,17 @@ DEFAULT_BATCH_SIZE = 50_000
 DEFAULT_FETCH_SIZE = 50_000
 
 
-def dataset_rows(
-    data: Union[Dataset, Chunk], include_label: bool = True
-) -> Iterator[Tuple]:
-    """Driver-ready insertion rows of a dataset or chunk, in order.
+def dataset_rows(data: Dataset, include_label: bool = True) -> Iterator[Tuple]:
+    """Driver-ready insertion rows of a dataset, in order.
 
-    Columnar datasets and chunks convert through ``tolist()`` (Python
-    scalars — NumPy types would otherwise leak into the driver) and zip the
-    column lists directly, never materialising per-record dicts;
+    Columnar datasets convert through ``tolist()`` (Python scalars — NumPy
+    types would otherwise leak into the driver) and zip the column lists
+    directly, never materialising (or caching) per-record dicts;
     record-backed datasets zip their existing dicts.  ``include_label=False``
     yields attribute-only rows (the predictor's unlabelled staging tables).
     """
     names = data.schema.attribute_names
-    if isinstance(data, (ColumnarDataset, Chunk)):
+    if isinstance(data, ColumnarDataset):
         lists = [data.column(name).tolist() for name in names]
         if include_label:
             return iter(zip(*lists, data.label_array().tolist()))
@@ -254,16 +253,15 @@ class TupleStore:
 
     def load(
         self,
-        data: Union[Dataset, Chunk, Iterable[Union[Dataset, Chunk]]],
+        data: Union[Dataset, Iterable[Dataset]],
         batch_size: int = DEFAULT_BATCH_SIZE,
         method: str = "auto",
     ) -> int:
-        """Bulk-load a dataset/chunk — or a stream of them — and return the count.
+        """Bulk-load a dataset — or a stream of them — and return the count.
 
-        Accepts a :class:`~repro.data.dataset.Dataset` /
-        :class:`~repro.data.columnar.ColumnarDataset` /
-        :class:`~repro.data.chunks.Chunk`, or any iterable of them (e.g.
-        ``AgrawalGenerator.iter_chunks(...)``).
+        Accepts a :class:`~repro.data.columnar.ColumnarDataset` or a
+        record-backed :class:`~repro.data.dataset.Dataset`, or any iterable
+        of them (e.g. ``AgrawalGenerator.iter_chunks(...)``).
 
         ``method`` selects the write path:
 
@@ -278,8 +276,8 @@ class TupleStore:
           from :meth:`create`) are re-created afterwards from their recorded
           DDL.  Raises :class:`~repro.db.fastload.RawLoadUnsupported` when
           the shape is out of scope.
-        * ``"auto"`` (default) — ``"raw"`` when the input is a chunk stream
-          and the store qualifies, ``"rows"`` otherwise; shapes the raw lane
+        * ``"auto"`` (default) — ``"raw"`` when the input is columnar and
+          the store qualifies, ``"rows"`` otherwise; shapes the raw lane
           rejects late (e.g. a load crossing the 1GiB lock-byte page) fall
           back to ``"rows"`` transparently.
         """
@@ -289,8 +287,8 @@ class TupleStore:
             raise DatabaseError(
                 f"unknown load method {method!r}; expected auto, rows, or raw"
             )
-        stream: Iterator[Union[Dataset, Chunk]]
-        if isinstance(data, (Dataset, Chunk)):
+        stream: Iterator[Dataset]
+        if isinstance(data, Dataset):
             stream = iter((data,))
         else:
             stream = iter(data)
@@ -301,7 +299,9 @@ class TupleStore:
             return 0
         chunks = itertools.chain((first,), stream)
         raw = method == "raw" or (
-            method == "auto" and isinstance(first, Chunk) and self._raw_eligible()
+            method == "auto"
+            and isinstance(first, ColumnarDataset)
+            and self._raw_eligible()
         )
         # The span drives the whole consume-and-write loop, so with a lazy
         # input stream it is wall attribution of the store stage (upstream
@@ -321,7 +321,7 @@ class TupleStore:
 
     def _load_rows(
         self,
-        chunks: Iterable[Union[Dataset, Chunk]],
+        chunks: Iterable[Dataset],
         batch_size: int,
     ) -> int:
         with self.lock:
@@ -331,10 +331,10 @@ class TupleStore:
             try:
                 with connection:
                     for chunk in chunks:
-                        if not isinstance(chunk, (Dataset, Chunk)):
+                        if not isinstance(chunk, Dataset):
                             raise DatabaseError(
-                                "load() expects a Dataset/Chunk or an iterable "
-                                f"of them, got a chunk of type {type(chunk).__name__}"
+                                "load() expects a Dataset or an iterable of "
+                                f"them, got a chunk of type {type(chunk).__name__}"
                             )
                         if chunk.schema.attribute_names != self.schema.attribute_names:
                             raise DatabaseError(
@@ -381,7 +381,7 @@ class TupleStore:
 
     def _load_raw(
         self,
-        chunks: Iterable[Union[Dataset, Chunk]],
+        chunks: Iterable[Dataset],
         batch_size: int,
         fallback: bool,
     ) -> int:
@@ -396,15 +396,17 @@ class TupleStore:
         writer = RawSqliteWriter(
             self.path, self.schema, self.table, self.class_column, self.dialect
         )
-        staged: List[Chunk] = []
+        staged: List[ColumnarDataset] = []
         try:
             for chunk in chunks:
-                if isinstance(chunk, Dataset):
-                    chunk = Chunk.from_dataset(chunk)
-                elif not isinstance(chunk, Chunk):
+                if not isinstance(chunk, Dataset):
                     raise DatabaseError(
-                        "load() expects a Dataset/Chunk or an iterable of "
-                        f"them, got a chunk of type {type(chunk).__name__}"
+                        "load() expects a Dataset or an iterable of them, got "
+                        f"a chunk of type {type(chunk).__name__}"
+                    )
+                if not isinstance(chunk, ColumnarDataset):
+                    chunk = columnar_from_records(
+                        chunk.schema, chunk.records, chunk.labels, validate=False
                     )
                 writer.append(chunk)
                 staged.append(chunk)
@@ -457,9 +459,10 @@ class TupleStore:
         This is the file-ingestion path (``python -m repro db load --input``):
         each record is a mapping holding every attribute plus the label under
         ``label_key`` (default: the store's class column).  ``validate=True``
-        routes every record through :meth:`Schema.validate_record` (slower,
-        but rejects out-of-domain values at load time).  Returns the number
-        of tuples inserted.
+        routes every record through :meth:`Schema.validate_record` and every
+        label through :meth:`Schema.validate_label` (slower, but rejects
+        out-of-domain values and unknown classes at load time — nothing is
+        inserted then).  Returns the number of tuples inserted.
         """
         if batch_size <= 0:
             raise DatabaseError(f"batch size must be positive, got {batch_size}")
@@ -473,10 +476,12 @@ class TupleStore:
                         f"record is missing its label under {key!r}: "
                         f"{sorted(record)}"
                     )
+                label = record[key]
                 if validate:
                     values = self.schema.validate_record(
                         {name: value for name, value in record.items() if name != key}
                     )
+                    self.schema.validate_label(label)
                 else:
                     values = record
                 try:
@@ -485,7 +490,7 @@ class TupleStore:
                     raise DatabaseError(
                         f"record is missing attribute {exc.args[0]!r}"
                     ) from exc
-                yield row + (record[key],)
+                yield row + (label,)
 
         with self.lock:
             self._require_table()
@@ -584,10 +589,12 @@ class TupleStore:
         """Stream the relation back out as bounded columnar chunks.
 
         The inverse of :meth:`load`: each page becomes a
-        :class:`ColumnarDataset` (storage dtypes shared with the DDL via
-        :func:`~repro.db.schema.storage_dtype`, ``validate=False`` — the
-        data was validated on the way in), so the NumPy inference path can
-        classify straight off the store without per-record dicts.
+        :class:`ColumnarDataset` (column dtypes from
+        :func:`~repro.data.columnar.storage_dtype`, the rule the DDL shares;
+        ``validate=False`` — the data was validated on the way in), so the
+        NumPy inference path can classify straight off the store without
+        per-record dicts.  A stored label outside the schema's classes
+        raises :class:`~repro.exceptions.SchemaError`.
         """
         if chunk_size <= 0:
             raise DatabaseError(f"chunk size must be positive, got {chunk_size}")

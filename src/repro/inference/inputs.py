@@ -19,11 +19,10 @@ explanation instead of silently mis-evaluating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Sequence, TYPE_CHECKING, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from repro.data.chunks import Chunk
 from repro.data.dataset import Dataset, Record
 from repro.exceptions import ReproError
 
@@ -42,9 +41,9 @@ class BatchInput:
     n: int
     records: Optional[List[Record]] = None
     matrix: Optional[np.ndarray] = None
-    #: The dataset *or chunk* the caller passed; both expose ``.records``
+    #: The dataset the caller passed; columnar ones expose ``.records``
     #: lazily and encode columnar through ``transform_matrix``.
-    dataset: Optional[Union[Dataset, Chunk]] = None
+    dataset: Optional[Dataset] = None
 
     def require_records(self, context: str) -> List[Record]:
         if self.records is None:
@@ -93,7 +92,8 @@ def normalize_batch_input(data, encoder: Optional["TupleEncoder"] = None) -> Bat
 
     Accepted forms:
 
-    * :class:`Dataset` or :class:`~repro.data.chunks.Chunk` — records (and,
+    * :class:`Dataset` (including a
+      :class:`~repro.data.columnar.ColumnarDataset` chunk) — records (and,
       with an ``encoder``, a matrix on demand);
     * 2-D :class:`numpy.ndarray` — an encoded matrix;
     * iterable of mappings — records (generators are materialised);
@@ -102,9 +102,9 @@ def normalize_batch_input(data, encoder: Optional["TupleEncoder"] = None) -> Bat
 
     Everything else raises :class:`ReproError`.
     """
-    if isinstance(data, (Dataset, Chunk)):
+    if isinstance(data, Dataset):
         # records stays None here; require_records materialises it on demand
-        # (for columnar datasets and chunks the common paths never need it).
+        # (for columnar datasets the common paths never need it).
         return BatchInput(n=len(data), dataset=data)
     if isinstance(data, np.ndarray):
         matrix = _matrix_from_array(data)

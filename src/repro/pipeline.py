@@ -2,17 +2,18 @@
 """The chunk-fabric pipeline: generate → classify → store on one machine.
 
 :func:`run_pipeline` wires the three data-plane stages of the reproduction
-together over the :class:`~repro.data.chunks.Chunk` interchange type, with
-zero-copy hand-offs at every boundary:
+together over one type, :class:`~repro.data.columnar.ColumnarDataset` —
+the same type training consumes — with zero-copy hand-offs at every
+boundary:
 
 * **generate** — :meth:`AgrawalGenerator.iter_chunks
   <repro.data.agrawal.AgrawalGenerator.iter_chunks>` emits columnar chunks
   (optionally from an N-process fan-out pool writing columns into shared
   memory);
 * **classify** — :meth:`PredictionService.predict_chunks
-  <repro.serving.service.PredictionService.predict_chunks>` attaches label
-  *code* arrays to each chunk (attribute rules evaluate on the chunk's
-  columns directly; labels never become Python strings);
+  <repro.serving.service.PredictionService.predict_chunks>` swaps each
+  chunk's label *codes* for the predicted ones (attribute rules evaluate on
+  the chunk's columns directly; labels never become Python strings);
 * **store** — :meth:`TupleStore.load <repro.db.store.TupleStore.load>`
   consumes the labelled chunk stream, on the raw-page writer when the target
   is an empty file-backed store (:mod:`repro.db.fastload`), zipping chunk
@@ -43,7 +44,7 @@ from typing import Dict, Iterable, Iterator, Optional
 
 from repro import obs
 from repro.data.agrawal import AgrawalGenerator
-from repro.data.chunks import Chunk
+from repro.data.columnar import ColumnarDataset
 from repro.db.store import TupleStore
 from repro.exceptions import ReproError
 from repro.serving.models import KIND_RULES, ServableModel
@@ -112,7 +113,7 @@ class _StageTimer:
         self.seconds = 0.0
         self.span_name = span_name
 
-    def wrap(self, chunks: Iterable[Chunk]) -> Iterator[Chunk]:
+    def wrap(self, chunks: Iterable[ColumnarDataset]) -> Iterator[ColumnarDataset]:
         iterator = iter(chunks)
         index = 0
         while True:

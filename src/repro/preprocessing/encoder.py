@@ -24,7 +24,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.data.agrawal import agrawal_schema
-from repro.data.chunks import Chunk
 from repro.data.columnar import ColumnarDataset
 from repro.data.dataset import Dataset, Record
 from repro.data.schema import (
@@ -93,25 +92,25 @@ class TupleEncoder:
         return out
 
     def transform_matrix(
-        self, data: Union[Dataset, Chunk, Sequence[Record]]
+        self, data: Union[Dataset, Sequence[Record]]
     ) -> np.ndarray:
         """Vectorised encoding of a whole batch into an ``(n, n_inputs)`` matrix.
 
         This is the single batch entry point of the inference pipeline: it
-        accepts a :class:`~repro.data.dataset.Dataset`, a
-        :class:`~repro.data.chunks.Chunk`, or a plain sequence of records and
-        encodes column by column using the cached column layout
+        accepts a :class:`~repro.data.dataset.Dataset` (columnar ones encode
+        straight from their column arrays) or a plain sequence of records
+        and encodes column by column using the cached column layout
         (``group_slice`` per attribute plus each per-attribute encoder's
         precomputed threshold/position tables), never touching records one at
         a time.
         """
-        if isinstance(data, (Dataset, Chunk)):
+        if isinstance(data, Dataset):
             if data.schema.attribute_names != self.schema.attribute_names:
                 raise EncodingError(
                     "dataset schema does not match the encoder schema: "
                     f"{data.schema.attribute_names} vs {self.schema.attribute_names}"
                 )
-            if isinstance(data, (ColumnarDataset, Chunk)):
+            if isinstance(data, ColumnarDataset):
                 # Columnar fast path: feed the stored column arrays straight
                 # to the per-attribute encoders; no per-record dict is ever
                 # built for the encode.

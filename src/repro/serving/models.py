@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.chunks import Chunk
+from repro.data.columnar import ColumnarDataset
 from repro.data.dataset import Record
 from repro.exceptions import ServingError
 from repro.inference.predictor import indices_from_labels
@@ -103,7 +103,7 @@ class ServableModel:
             return ruleset.predict_batch(list(records), encoder=self.encoder)
         return self.predictor.predict_batch(list(records))
 
-    def predict_codes(self, chunk: Chunk) -> Tuple[np.ndarray, Tuple[str, ...]]:
+    def predict_codes(self, chunk: ColumnarDataset) -> Tuple[np.ndarray, Tuple[str, ...]]:
         """Class-*index* predictions for a columnar chunk.
 
         The chunk-fabric hot path: labels stay an ``int64`` code array

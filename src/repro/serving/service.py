@@ -37,7 +37,6 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tu
 import numpy as np
 
 from repro import obs
-from repro.data.chunks import Chunk
 from repro.data.columnar import ColumnarDataset
 from repro.data.dataset import Dataset, Record
 from repro.exceptions import ServingError
@@ -291,7 +290,7 @@ class PredictionService:
     # -- chunk fabric ---------------------------------------------------------
 
     def submit_chunk(
-        self, model_name: str, chunk: Chunk
+        self, model_name: str, chunk: ColumnarDataset
     ) -> "Future[Tuple[np.ndarray, Tuple[str, ...]]]":
         """Queue one columnar chunk; resolves to ``(label_codes, classes)``.
 
@@ -314,16 +313,16 @@ class PredictionService:
     def predict_chunks(
         self,
         model_name: str,
-        chunks: Iterable[Chunk],
+        chunks: Iterable[ColumnarDataset],
         window: Optional[int] = None,
-    ) -> Iterator[Chunk]:
-        """Classify a chunk stream, yielding *labelled* chunks in order.
+    ) -> Iterator[ColumnarDataset]:
+        """Classify a chunk stream, yielding re-labelled chunks in order.
 
         The chunk-fabric counterpart of :meth:`predict_stream_batches`: each
-        input chunk comes back as the same zero-copy columns with a fresh
-        label-code array attached (``chunk.with_label_codes``).  At most
-        ``window`` chunks (default ``workers + 2``) are in flight at once,
-        so a generation stream pipelines through the dispatch pool in
+        input chunk comes back as the same zero-copy columns with the
+        predicted label codes in place of its own (``chunk.with_label_codes``).
+        At most ``window`` chunks (default ``workers + 2``) are in flight at
+        once, so a generation stream pipelines through the dispatch pool in
         bounded memory with labels kept as index arrays end-to-end.
         """
         if window is None:
@@ -331,7 +330,7 @@ class PredictionService:
         if window < 1:
             raise ServingError(f"chunk window must be >= 1, got {window}")
         in_flight: Deque[
-            Tuple[Chunk, "Future[Tuple[np.ndarray, Tuple[str, ...]]]"]
+            Tuple[ColumnarDataset, "Future[Tuple[np.ndarray, Tuple[str, ...]]]"]
         ] = deque()
         for chunk in chunks:
             in_flight.append((chunk, self.submit_chunk(model_name, chunk)))
@@ -348,7 +347,7 @@ class PredictionService:
         self,
         model_name: str,
         model: ServableModel,
-        chunk: Chunk,
+        chunk: ColumnarDataset,
         future: "Future[Tuple[np.ndarray, Tuple[str, ...]]]",
     ) -> None:
         with obs.trace("serve.chunk", model=model_name, rows=len(chunk)) as span:
@@ -371,7 +370,7 @@ class PredictionService:
             future.set_result((codes, classes))
 
     def _stream_chunk_labels(
-        self, model_name: str, chunks: Iterable[Chunk], window: Optional[int]
+        self, model_name: str, chunks: Iterable[ColumnarDataset], window: Optional[int]
     ) -> Iterator[np.ndarray]:
         """Label arrays for a chunk stream (strings materialised per batch)."""
         for labelled in self.predict_chunks(model_name, chunks, window=window):
@@ -380,15 +379,14 @@ class PredictionService:
     def predict_stream_batches(
         self,
         model_name: str,
-        records: Union[Iterable[Record], Iterable[Chunk], Dataset, Chunk],
+        records: Union[Iterable[Record], Iterable[ColumnarDataset], Dataset],
         window: Optional[int] = None,
         chunk_size: Optional[int] = None,
     ) -> Iterator[np.ndarray]:
         """Classify a record stream, yielding label arrays in submission order.
 
-        Columnar inputs — a :class:`Chunk`, a
-        :class:`~repro.data.columnar.ColumnarDataset`, or an iterable of
-        either — are routed through the chunk fabric
+        Columnar inputs — a :class:`~repro.data.columnar.ColumnarDataset` or
+        an iterable of them — are routed through the chunk fabric
         (:meth:`predict_chunks`): no per-record dicts are built, labels
         travel as index arrays, and each yielded array covers one chunk.
         ``window`` then counts in-flight *chunks* (default ``workers + 2``).
@@ -403,24 +401,16 @@ class PredictionService:
         records; concatenated, the arrays reproduce the input order exactly,
         regardless of how the thread pool interleaves batch completions.
         """
-        if isinstance(records, Chunk):
-            return self._stream_chunk_labels(model_name, (records,), window)
         if isinstance(records, ColumnarDataset):
-            return self._stream_chunk_labels(
-                model_name, (Chunk.from_dataset(records),), window
-            )
+            return self._stream_chunk_labels(model_name, (records,), window)
         if not isinstance(records, Dataset):
             iterator = iter(records)
             head = next(iterator, None)
             if head is None:
                 return iter(())
-            if isinstance(head, (Chunk, ColumnarDataset)):
-                chunks = (
-                    item if isinstance(item, Chunk) else Chunk.from_dataset(item)
-                    for item in chain((head,), iterator)
-                )
-                return self._stream_chunk_labels(model_name, chunks, window)
             records = chain((head,), iterator)
+            if isinstance(head, ColumnarDataset):
+                return self._stream_chunk_labels(model_name, records, window)
         return self._predict_stream_records(model_name, records, window, chunk_size)
 
     def _predict_stream_records(

@@ -61,7 +61,7 @@ def test_slices_preserve_labels(function):
     """Zero-copy slicing never detaches codes from their rows."""
     generator = AgrawalGenerator(function=function, perturbation=0.05, seed=3)
     chunk = next(generator.iter_chunks(N, chunk_size=N))
-    window = chunk.slice(100, 900)
+    window = chunk.subset(slice(100, 900))
     assert window.labels == chunk.labels[100:900]
-    rejoined = concat_chunks(list(chunk.split(97)))
+    rejoined = concat_chunks([chunk.subset(slice(i, i + 97)) for i in range(0, N, 97)])
     assert rejoined.labels == chunk.labels

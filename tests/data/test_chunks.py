@@ -1,4 +1,5 @@
-"""Tests of the Chunk interchange type: views, labels, transport."""
+"""Tests of the chunk plumbing: generator chunks, the shared-memory transport
+and n-way concat."""
 
 import pickle
 
@@ -7,11 +8,9 @@ import pytest
 
 from repro.data.agrawal import AgrawalGenerator, agrawal_schema
 from repro.data.chunks import (
-    Chunk,
     SharedChunkMeta,
     chunk_from_shared,
     chunk_to_shared,
-    codes_from_labels,
     concat_chunks,
     release_shared_chunk,
 )
@@ -26,150 +25,96 @@ def schema():
 
 
 @pytest.fixture(scope="module")
-def data():
+def chunk():
     return AgrawalGenerator(function=2, perturbation=0.05, seed=13).generate(400)
 
 
-@pytest.fixture()
-def chunk(data):
-    return Chunk.from_dataset(data)
+@pytest.fixture(scope="module")
+def streamed():
+    """The same 400 tuples as ``chunk``, streamed as generator chunks."""
+    generator = AgrawalGenerator(function=2, perturbation=0.05, seed=13)
+    return list(generator.iter_chunks(400, chunk_size=150))
+
+
+def pieces(data, size):
+    """Zero-copy consecutive subsets of at most ``size`` rows."""
+    return [data.subset(slice(start, start + size)) for start in range(0, len(data), size)]
 
 
 class TestConstruction:
-    def test_from_columnar_is_zero_copy(self, data, chunk):
-        for name in data.schema.attribute_names:
-            assert np.shares_memory(chunk.column(name), data.column(name))
-
-    def test_columns_are_read_only(self, chunk):
-        with pytest.raises(ValueError):
-            chunk.column("salary")[0] = 0.0
-
-    def test_source_arrays_stay_writable(self, schema):
-        salary = np.array([1.0, 2.0])
-        columns = {name: salary.copy() for name in schema.attribute_names}
-        columns["salary"] = salary
-        Chunk(schema, columns)
-        salary[0] = 9.0  # the chunk wraps views; the caller's array is untouched
-
-    def test_missing_column_rejected(self, schema, data):
-        columns = dict(data.columns)
+    def test_missing_column_rejected(self, schema, chunk):
+        columns = dict(chunk.columns)
         del columns["salary"]
         with pytest.raises(SchemaError, match="missing"):
-            Chunk(schema, columns)
+            ColumnarDataset(schema, columns, chunk.label_codes)
 
-    def test_ragged_columns_rejected(self, schema, data):
-        columns = dict(data.columns)
+    def test_ragged_columns_rejected(self, schema, chunk):
+        columns = dict(chunk.columns)
         columns["salary"] = columns["salary"][:-1]
         with pytest.raises(SchemaError, match="length"):
-            Chunk(schema, columns)
-
-    def test_out_of_range_codes_rejected(self, schema, data):
-        with pytest.raises(SchemaError, match="index classes"):
-            Chunk(schema, data.columns, np.full(len(data), 2, dtype=np.int64))
-
-    def test_float_codes_rejected(self, schema, data):
-        with pytest.raises(SchemaError, match="integers"):
-            Chunk(schema, data.columns, np.zeros(len(data)))
-
-    def test_record_dataset_round_trips(self, data):
-        chunk = Chunk.from_dataset(data.to_dataset())
-        assert chunk.records == data.records
-        assert chunk.labels == data.labels
+            ColumnarDataset(schema, columns, chunk.label_codes)
 
 
 class TestColumnarSurface:
-    def test_column_values_are_python_scalars(self, chunk):
-        values = chunk.column_values("age")
-        assert all(type(v) is int for v in values)
+    def test_len(self, chunk, streamed):
+        assert [len(piece) for piece in streamed] == [150, 150, 100]
+        assert sum(len(piece) for piece in streamed) == len(chunk)
 
-    def test_unknown_column_rejected(self, chunk):
-        with pytest.raises(SchemaError, match="unknown attribute"):
-            chunk.column("wages")
-
-    def test_len(self, chunk, data):
-        assert len(chunk) == len(data)
-
-    def test_compiled_rules_evaluate_on_chunks(self, chunk, data):
+    def test_compiled_rules_evaluate_on_chunks(self, chunk, streamed):
         from repro.serving.reference import reference_ruleset
 
         compiled = reference_ruleset(2).compiled()
-        assert (
-            compiled.predict_batch(chunk).tolist()
-            == compiled.predict_batch(data).tolist()
-        )
+        streamed_labels = [
+            label for piece in streamed for label in compiled.predict_batch(piece).tolist()
+        ]
+        assert streamed_labels == compiled.predict_batch(chunk).tolist()
 
 
 class TestLabels:
-    def test_label_array_matches_dataset(self, chunk, data):
-        assert chunk.label_array().tolist() == data.labels
-        assert chunk.labels == data.labels
-
-    def test_codes_round_trip(self, chunk):
-        codes = chunk.label_codes
-        assert codes.dtype == np.int64
-        rebuilt = np.array(list(chunk.classes), dtype=object)[codes]
-        assert rebuilt.tolist() == chunk.labels
-
-    def test_unlabelled_chunk_has_no_codes(self, chunk):
-        bare = chunk.without_labels()
-        assert not bare.is_labelled
-        with pytest.raises(SchemaError, match="no labels"):
-            bare.label_codes
-
-    def test_with_label_codes_replaces_labels(self, chunk):
-        flipped = chunk.with_label_codes(1 - chunk.label_codes)
-        assert flipped.labels == [
-            {"A": "B", "B": "A"}[label] for label in chunk.labels
-        ]
-        assert np.shares_memory(flipped.column("salary"), chunk.column("salary"))
-
-    def test_codes_from_labels_rejects_unknown(self):
-        with pytest.raises(SchemaError, match="unknown class"):
-            codes_from_labels(np.array(["A", "C"], dtype=object), ("A", "B"))
+    def test_label_array_matches_dataset(self, chunk, streamed):
+        assert [label for piece in streamed for label in piece.label_array().tolist()] == (
+            chunk.label_array().tolist()
+        )
+        assert sum((piece.labels for piece in streamed), []) == chunk.labels
 
 
 class TestSlicing:
-    def test_slice_is_zero_copy(self, chunk):
-        window = chunk.slice(10, 60)
+    def test_slice_is_zero_copy(self, streamed):
+        piece = streamed[0]
+        window = piece.subset(slice(10, 60))
         assert len(window) == 50
-        assert np.shares_memory(window.column("salary"), chunk.column("salary"))
-        assert window.labels == chunk.labels[10:60]
+        assert np.shares_memory(window.column("salary"), piece.column("salary"))
+        assert window.labels == piece.labels[10:60]
 
-    def test_split_covers_everything_in_order(self, chunk):
-        pieces = list(chunk.split(150))
-        assert [len(p) for p in pieces] == [150, 150, 100]
-        assert sum((p.labels for p in pieces), []) == chunk.labels
+    def test_iter_rows_matches_records(self, chunk, streamed):
+        rows = [row for piece in streamed for row in piece.iter_rows()]
+        assert [r for r, _ in rows] == chunk.records
+        assert [label for _, label in rows] == chunk.labels
 
-    def test_split_size_validated(self, chunk):
-        with pytest.raises(SchemaError, match="positive"):
-            list(chunk.split(0))
 
-    def test_concat_restores_split(self, chunk):
-        merged = concat_chunks(list(chunk.split(64)))
+class TestConcat:
+    def test_concat_restores_pieces(self, chunk):
+        merged = concat_chunks(pieces(chunk, 64))
+        assert isinstance(merged, ColumnarDataset)
         assert merged.labels == chunk.labels
         for name in chunk.schema.attribute_names:
             assert np.array_equal(merged.column(name), chunk.column(name))
 
-    def test_instance_concat(self, chunk):
-        first, second = chunk.slice(0, 100), chunk.slice(100, None)
-        assert first.concat(second).labels == chunk.labels
+    def test_instance_concat_agrees(self, chunk):
+        first, second = chunk.subset(slice(0, 100)), chunk.subset(slice(100, None))
+        assert first.concat(second).labels == concat_chunks([first, second]).labels
 
-    def test_concat_rejects_mixed_labelling(self, chunk):
-        with pytest.raises(SchemaError, match="labelled and unlabelled"):
-            concat_chunks([chunk, chunk.without_labels()])
+    def test_single_chunk_passes_through(self, chunk):
+        assert concat_chunks([chunk]) is chunk
 
-    def test_iter_rows_matches_records(self, chunk, data):
-        rows = list(chunk.iter_rows())
-        assert [r for r, _ in rows] == data.records
-        assert [l for _, l in rows] == data.labels
+    def test_zero_chunks_rejected(self):
+        with pytest.raises(SchemaError, match="zero chunks"):
+            concat_chunks([])
 
-
-class TestConversions:
-    def test_to_columnar_round_trip(self, chunk, data):
-        columnar = chunk.to_columnar()
-        assert isinstance(columnar, ColumnarDataset)
-        assert columnar.records == data.records
-        assert columnar.labels == data.labels
+    def test_class_vocabularies_must_agree(self, chunk):
+        other = chunk.with_label_codes(chunk.label_codes, classes=("B", "A"))
+        with pytest.raises(SchemaError, match="class vocabularies"):
+            concat_chunks([chunk, other])
 
 
 class TestSharedMemoryTransport:
@@ -177,6 +122,7 @@ class TestSharedMemoryTransport:
         meta = chunk_to_shared(chunk)
         restored = chunk_from_shared(schema, meta)
         try:
+            assert isinstance(restored, ColumnarDataset)
             for name in schema.attribute_names:
                 column = restored.column(name)
                 assert column.dtype == chunk.column(name).dtype
@@ -186,14 +132,17 @@ class TestSharedMemoryTransport:
         finally:
             release_shared_chunk(restored)
 
-    def test_unlabelled_round_trip(self, schema, chunk):
-        meta = chunk_to_shared(chunk.without_labels())
-        restored = chunk_from_shared(schema, meta)
+    def test_subsets_keep_the_segment_alive(self, schema, chunk):
+        from multiprocessing import shared_memory
+
+        meta = chunk_to_shared(chunk)
+        window = chunk_from_shared(schema, meta).subset(slice(10, 20))
         try:
-            assert not restored.is_labelled
-            assert len(restored) == len(chunk)
+            # The parent dataset is gone; its segment must outlive it.
+            shared_memory.SharedMemory(name=meta.name).close()
+            assert window.labels == chunk.labels[10:20]
         finally:
-            release_shared_chunk(restored)
+            release_shared_chunk(window)
 
     def test_release_removes_segment(self, schema, chunk):
         from multiprocessing import shared_memory
@@ -208,10 +157,10 @@ class TestSharedMemoryTransport:
         release_shared_chunk(chunk)  # must not raise
 
     def test_meta_survives_pickling(self):
-        meta = SharedChunkMeta("seg", 10, ("<f8",), ("A", "B"), True)
+        meta = SharedChunkMeta("seg", 10, ("<f8",), ("A", "B"))
         clone = pickle.loads(pickle.dumps(meta))
         assert clone == meta
-        assert clone.name == "seg" and clone.n == 10 and clone.labelled
+        assert clone.name == "seg" and clone.n == 10 and clone.classes == ("A", "B")
 
     def test_object_columns_rejected(self):
         schema = Schema(
@@ -220,7 +169,7 @@ class TestSharedMemoryTransport:
         )
         column = np.empty(2, dtype=object)
         column[:] = ["x", "y"]
-        chunk = Chunk(schema, {"kind": column})
+        chunk = ColumnarDataset(schema, {"kind": column}, ["A", "B"])
         with pytest.raises(SchemaError, match="shared memory"):
             chunk_to_shared(chunk)
 
@@ -234,7 +183,7 @@ class TestBooleanColumns:
             ],
             classes=("A", "B"),
         )
-        chunk = Chunk(
+        chunk = ColumnarDataset(
             schema,
             {
                 "x": np.array([1.0, 2.0]),

@@ -1,10 +1,15 @@
-"""Unit tests for the columnar dataset container."""
+"""Unit tests for the columnar dataset container: columns, labels, views."""
 
 import numpy as np
 import pytest
 
 from repro.data.agrawal import AgrawalGenerator
-from repro.data.columnar import ColumnarDataset, columnar_from_records
+from repro.data.columnar import (
+    ColumnarDataset,
+    codes_from_labels,
+    columnar_from_records,
+    storage_dtype,
+)
 from repro.data.dataset import Dataset
 from repro.data.schema import CategoricalAttribute, ContinuousAttribute, Schema
 from repro.exceptions import SchemaError
@@ -118,6 +123,59 @@ class TestConstruction:
                 np.asarray(["maybe"]),
             )
 
+    def test_from_records_columns_follow_storage_dtype(self):
+        schema = Schema(
+            attributes=[
+                ContinuousAttribute("income", 0.0, 100.0),
+                ContinuousAttribute("age", 18.0, 90.0, integer=True),
+                CategoricalAttribute("grade", (0, 1, 2)),
+                CategoricalAttribute("level", (np.int64(1), np.int64(2))),
+                CategoricalAttribute("flag", (True, False)),
+                CategoricalAttribute("colour", ("red", "green")),
+            ],
+            classes=("yes", "no"),
+        )
+        record = {"income": 5, "age": 30, "grade": 2, "level": 1, "flag": True, "colour": "red"}
+        data = columnar_from_records(schema, [record], ["yes"])
+        dtypes = {name: data.column(name).dtype for name in schema.attribute_names}
+        assert dtypes == {
+            "income": np.float64,
+            "age": np.int64,
+            "grade": np.int64,
+            "level": np.int64,
+            "flag": np.bool_,
+            "colour": object,
+        }
+        assert all(dtypes[a.name] == np.dtype(storage_dtype(a)) for a in schema.attributes)
+
+    def test_columns_are_read_only(self, tiny_columnar):
+        with pytest.raises(ValueError):
+            tiny_columnar.column("income")[0] = 0.0
+
+    def test_source_arrays_stay_writable(self, tiny_schema):
+        income = np.array([10.0, 20.0])
+        ColumnarDataset(
+            tiny_schema,
+            {"income": income, "age": np.asarray([20, 30]), "grade": np.asarray([0, 1])},
+            ["yes", "no"],
+        )
+        income[0] = 90.0  # the dataset wraps views; the caller's array is untouched
+
+    def test_label_codes_accepted(self, tiny_schema, tiny_columnar):
+        dataset = ColumnarDataset(
+            tiny_schema, tiny_columnar.columns, np.asarray([0, 1, 0, 1], dtype=np.int32)
+        )
+        assert dataset.labels == tiny_columnar.labels
+        assert dataset.label_codes.dtype == np.int64
+
+    def test_out_of_range_codes_rejected(self, tiny_schema, tiny_columnar):
+        with pytest.raises(SchemaError, match="index classes"):
+            ColumnarDataset(tiny_schema, tiny_columnar.columns, np.full(4, 2))
+
+    def test_float_labels_are_not_codes(self, tiny_schema, tiny_columnar):
+        with pytest.raises(SchemaError, match="unknown class label"):
+            ColumnarDataset(tiny_schema, tiny_columnar.columns, np.zeros(4))
+
     def test_from_records_round_trip(self, tiny_columnar):
         rebuilt = columnar_from_records(
             tiny_columnar.schema, tiny_columnar.records, tiny_columnar.labels
@@ -143,6 +201,30 @@ class TestLazyRecords:
         assert tiny_columnar.labels == ["yes", "no", "yes", "no"]
         assert all(type(label) is str for label in tiny_columnar.labels)
 
+    def test_labels_are_stored_as_codes(self, tiny_columnar):
+        codes = tiny_columnar.label_codes
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [0, 1, 0, 1]
+        assert tiny_columnar.classes == ("yes", "no")
+        with pytest.raises(ValueError):
+            codes[0] = 1
+
+    def test_with_label_codes_replaces_labels(self, tiny_columnar):
+        flipped = tiny_columnar.with_label_codes(1 - tiny_columnar.label_codes)
+        assert flipped.labels == ["no", "yes", "no", "yes"]
+        assert np.shares_memory(flipped.column("income"), tiny_columnar.column("income"))
+
+    def test_with_label_codes_over_other_classes(self, tiny_columnar):
+        relabelled = tiny_columnar.with_label_codes(
+            np.asarray([1, 1, 0, 0]), classes=("no", "yes")
+        )
+        assert relabelled.labels == ["yes", "yes", "no", "no"]
+        assert relabelled.label_indices().tolist() == [0, 0, 1, 1]
+
+    def test_codes_from_labels_rejects_unknown(self):
+        with pytest.raises(SchemaError, match="unknown class"):
+            codes_from_labels(np.array(["A", "C"], dtype=object), ("A", "B"))
+
     def test_iteration_pairs(self, tiny_columnar):
         pairs = list(tiny_columnar)
         assert pairs[2] == ({"income": 30.0, "age": 40, "grade": 2}, "yes")
@@ -165,18 +247,26 @@ class TestArrayViews:
         assert column.tolist() == [0, 1, 2, 1]
 
     def test_label_indices_reject_unknown_labels(self, tiny_schema):
-        dataset = ColumnarDataset(
-            tiny_schema,
-            {
-                "income": np.asarray([10.0, 20.0]),
-                "age": np.asarray([20, 30]),
-                "grade": np.asarray([0, 1]),
-            },
-            np.asarray(["yes", "typo"]),
-            validate=False,
-        )
+        # Labels are stored as codes, so an unknown label cannot get as far
+        # as label_indices(): it fails at construction, validate or not.
         with pytest.raises(SchemaError, match="unknown class label"):
-            dataset.label_indices()
+            ColumnarDataset(
+                tiny_schema,
+                {
+                    "income": np.asarray([10.0, 20.0]),
+                    "age": np.asarray([20, 30]),
+                    "grade": np.asarray([0, 1]),
+                },
+                np.asarray(["yes", "typo"]),
+                validate=False,
+            )
+
+    def test_column_values_are_python_scalars(self, tiny_columnar):
+        assert all(type(v) is int for v in tiny_columnar.column_values("age"))
+
+    def test_unknown_column_rejected(self, tiny_columnar):
+        with pytest.raises(SchemaError, match="unknown attribute"):
+            tiny_columnar.column("wages")
 
     def test_validation_numeric_column_vs_string_domain(self):
         schema = Schema(
@@ -205,11 +295,16 @@ class TestArrayViews:
 
 
 class TestSubset:
-    def test_prefix_subset_is_zero_copy(self, tiny_columnar):
-        prefix = tiny_columnar.subset(range(2))
-        assert isinstance(prefix, ColumnarDataset)
-        assert len(prefix) == 2
-        assert np.shares_memory(prefix.column("income"), tiny_columnar.column("income"))
+    @pytest.mark.parametrize(
+        "window, rows", [(range(2), [0, 1]), (slice(1, 3), [1, 2])], ids=["range", "slice"]
+    )
+    def test_window_subset_is_zero_copy(self, tiny_columnar, window, rows):
+        picked = tiny_columnar.subset(window)
+        assert isinstance(picked, ColumnarDataset)
+        assert len(picked) == 2
+        assert np.shares_memory(picked.column("income"), tiny_columnar.column("income"))
+        assert np.shares_memory(picked.label_codes, tiny_columnar.label_codes)
+        assert picked.labels == [tiny_columnar.labels[i] for i in rows]
 
     def test_fancy_subset(self, tiny_columnar):
         picked = tiny_columnar.subset([3, 0])
@@ -237,6 +332,13 @@ class TestSubset:
             tiny_columnar.subset(range(0, 15))
         with pytest.raises(IndexError):
             tiny_columnar.subset(range(-9, 2))
+
+    def test_slice_subset_after_materialisation_is_a_view(self, tiny_columnar):
+        records = tiny_columnar.records  # materialise
+        window = tiny_columnar.subset(slice(1, 3))
+        assert isinstance(window, ColumnarDataset)
+        assert np.shares_memory(window.column("income"), tiny_columnar.column("income"))
+        assert window.records[0] is records[1]  # the dicts are shared, not rebuilt
 
     def test_slice_subset_before_and_after_materialisation(self, tiny_columnar):
         before = tiny_columnar.subset(slice(0, 3))

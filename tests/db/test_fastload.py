@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.agrawal import AgrawalGenerator, agrawal_schema
-from repro.data.chunks import Chunk
+from repro.data.columnar import ColumnarDataset
 from repro.data.schema import CategoricalAttribute, ContinuousAttribute, Schema
 from repro.db.fastload import RawLoadUnsupported, RawSqliteWriter, schema_supports_raw
 from repro.db.store import TupleStore
@@ -65,6 +65,23 @@ class TestEligibility:
             store.load(iter(chunks))
             store.load(iter(chunks))  # auto: falls back to driver rows
             assert store.count() == 1000
+
+
+    def test_auto_takes_the_raw_lane_for_a_columnar_dataset(self, tmp_path, monkeypatch):
+        finished = []
+        finish = RawSqliteWriter.finish
+
+        def counting_finish(writer):
+            finished.append(len(writer))
+            return finish(writer)
+
+        monkeypatch.setattr(RawSqliteWriter, "finish", counting_finish)
+        data = AgrawalGenerator(function=2, perturbation=0.05, seed=5).generate(800)
+        with TupleStore(agrawal_schema(), path=tmp_path / "t.db") as store:
+            store.create()
+            assert store.load(data) == 800
+            assert list(store.iter_rows())[0] == (data.records[0], data.labels[0])
+        assert finished == [800]
 
 
 class TestRawEqualsRows:
@@ -144,7 +161,7 @@ class TestWriterDirect:
         other = Schema(
             attributes=[ContinuousAttribute("x", 0.0, 1.0)], classes=("A", "B")
         )
-        chunk = Chunk(other, {"x": np.array([0.5])}, np.array([0]))
+        chunk = ColumnarDataset(other, {"x": np.array([0.5])}, np.array([0]))
         with pytest.raises(DatabaseError):
             writer.append(chunk)
 

@@ -120,6 +120,16 @@ class TestEquivalenceAllFunctions:
         assert from_dataset.tolist() == from_records.tolist()
         assert from_dataset.tolist() == from_record_dataset.tolist()
 
+    def test_generator_chunks_are_batches(self, schema):
+        """Regression: a chunk from ``iter_chunks`` was rejected as not
+        iterable while ``generate()`` output of the same shape worked."""
+        ruleset = reference_ruleset(2)
+        generator = AgrawalGenerator(function=2, seed=3)
+        chunk = next(generator.iter_chunks(50, chunk_size=50))
+        with SqlRulePredictor(ruleset, schema=schema) as predictor:
+            pushed = predictor.predict_batch(chunk)
+        assert pushed.tolist() == ruleset.predict_batch(chunk).tolist()
+
     def test_boolean_consequents_round_trip(self):
         """Regression: boolean labels came back as the integers SQLite
         stores, breaking label identity with the NumPy/per-record paths."""

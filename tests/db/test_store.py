@@ -8,7 +8,7 @@ from repro.data.columnar import columnar_from_records
 from repro.data.dataset import Dataset
 from repro.data.schema import CategoricalAttribute, ContinuousAttribute, Schema
 from repro.db.store import TupleStore
-from repro.exceptions import DatabaseError
+from repro.exceptions import DatabaseError, SchemaError
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +124,15 @@ class TestLoadRecords:
         with pytest.raises(Exception):
             store.load_records(iter(rows), validate=True)
 
+    def test_validation_rejects_unknown_label(self, store, small_data):
+        rows = [
+            {**record, "class": label}
+            for record, label in zip(small_data.records[:3], ["A", "Z", "B"])
+        ]
+        with pytest.raises(SchemaError, match="unknown class label 'Z'"):
+            store.load_records(iter(rows), validate=True)
+        assert store.count() == 0
+
     def test_missing_label_rejected(self, store, small_data):
         rows = [dict(small_data.records[0])]
         with pytest.raises(DatabaseError, match="missing its label"):
@@ -197,6 +206,9 @@ class TestBooleanRoundTrip:
             [{"x": 1.0, "flag": True}, {"x": 9.0, "flag": False}],
             ["A", "B"],
         )
+        # Records build the same column the store reads back: one typing rule.
+        assert data.column("flag").dtype == np.bool_
+        assert all(type(record["flag"]) is bool for record in data.records)
         with TupleStore(schema) as store:
             store.create()
             store.load(data)
@@ -206,7 +218,16 @@ class TestBooleanRoundTrip:
             {"x": 1.0, "flag": True},
             {"x": 9.0, "flag": False},
         ]
+        assert all(type(record["flag"]) is bool for record in restored)
         assert chunks[0].column("flag").dtype == np.bool_
+
+    def test_records_reject_non_boolean_flags(self):
+        schema = Schema(
+            attributes=[CategoricalAttribute("flag", (True, False))],
+            classes=("A", "B"),
+        )
+        with pytest.raises(SchemaError, match="not in domain"):
+            columnar_from_records(schema, [{"flag": True}, {"flag": 2}], ["A", "B"])
 
 
 class TestQualifiedTable:

@@ -1,10 +1,13 @@
-"""Tests of the serving layer's chunk fabric: codes end-to-end, routed streams."""
+"""Tests of the serving layer's chunk fabric: codes end-to-end, routed streams.
+
+A chunk is a :class:`~repro.data.columnar.ColumnarDataset`; the streams here
+are zero-copy ``subset`` windows of one generated dataset.
+"""
 
 import numpy as np
 import pytest
 
 from repro.data.agrawal import AgrawalGenerator
-from repro.data.chunks import Chunk
 from repro.exceptions import ServingError
 from repro.preprocessing.encoder import agrawal_encoder
 from repro.rules.ruleset import RuleSet
@@ -19,9 +22,9 @@ def data():
     return AgrawalGenerator(function=1, perturbation=0.0, seed=9).generate(3_000)
 
 
-@pytest.fixture(scope="module")
-def chunk(data):
-    return Chunk.from_dataset(data)
+def pieces(data, size):
+    """Zero-copy consecutive subsets of at most ``size`` rows."""
+    return [data.subset(slice(start, start + size)) for start in range(0, len(data), size)]
 
 
 @pytest.fixture()
@@ -35,23 +38,23 @@ def service():
 
 
 class TestPredictCodes:
-    def test_attribute_rules_agree_with_predict_batch(self, chunk, data):
+    def test_attribute_rules_agree_with_predict_batch(self, data):
         model = ServableModel(
             name="f1", kind=KIND_RULES, predictor=reference_ruleset(1)
         )
-        codes, classes = model.predict_codes(chunk)
+        codes, classes = model.predict_codes(data)
         assert codes.dtype == np.int64
         labels = np.array(list(classes), dtype=object)[codes]
         assert labels.tolist() == model.predict_batch(data.records).tolist()
 
-    def test_empty_ruleset_defaults_everything(self, chunk):
+    def test_empty_ruleset_defaults_everything(self, data):
         empty = RuleSet(rules=[], default_class="B", classes=("A", "B"), name="empty")
         model = ServableModel(name="empty", kind=KIND_RULES, predictor=empty)
-        codes, classes = model.predict_codes(chunk)
+        codes, classes = model.predict_codes(data)
         assert set(np.unique(codes).tolist()) == {classes.index("B")}
-        assert len(codes) == len(chunk)
+        assert len(codes) == len(data)
 
-    def test_binary_rules_take_the_encoded_path(self, chunk, data):
+    def test_binary_rules_take_the_encoded_path(self, data):
         from repro.rules.conditions import InputLiteral
         from repro.rules.rule import BinaryRule
 
@@ -70,11 +73,11 @@ class TestPredictCodes:
         model = ServableModel(
             name="b1", kind=KIND_RULES, predictor=binary, encoder=encoder
         )
-        codes, classes = model.predict_codes(chunk)
+        codes, classes = model.predict_codes(data)
         labels = np.array(list(classes), dtype=object)[codes]
         assert labels.tolist() == model.predict_batch(data.records).tolist()
 
-    def test_non_ruleset_predictor_falls_back(self, chunk, data):
+    def test_non_ruleset_predictor_falls_back(self, data):
         class Constant:
             classes = ("A", "B")
 
@@ -82,29 +85,29 @@ class TestPredictCodes:
                 return np.array(["A"] * len(records), dtype=object)
 
         model = ServableModel(name="c", kind="baseline", predictor=Constant())
-        codes, classes = model.predict_codes(chunk)
-        assert codes.tolist() == [classes.index("A")] * len(chunk)
+        codes, classes = model.predict_codes(data)
+        assert codes.tolist() == [classes.index("A")] * len(data)
 
 
 class TestPredictChunks:
-    def test_yields_labelled_chunks_in_order(self, service, chunk, data):
-        labelled = list(service.predict_chunks("f1", chunk.split(500)))
+    def test_yields_labelled_chunks_in_order(self, service, data):
+        labelled = list(service.predict_chunks("f1", pieces(data, 500)))
         assert [len(c) for c in labelled] == [500] * 6
         merged = np.concatenate([c.label_array() for c in labelled])
         assert merged.tolist() == data.labels  # clean tuples: rules == truth
         # Columns ride through untouched (zero-copy).
-        assert np.shares_memory(labelled[0].column("salary"), chunk.column("salary"))
+        assert np.shares_memory(labelled[0].column("salary"), data.column("salary"))
 
-    def test_window_validated(self, service, chunk):
+    def test_window_validated(self, service, data):
         with pytest.raises(ServingError, match="window"):
-            list(service.predict_chunks("f1", chunk.split(500), window=0))
+            list(service.predict_chunks("f1", pieces(data, 500), window=0))
 
-    def test_submit_chunk_future(self, service, chunk):
-        codes, classes = service.submit_chunk("f1", chunk).result(timeout=10)
-        assert len(codes) == len(chunk)
-        assert set(classes) >= set(chunk.classes)
+    def test_submit_chunk_future(self, service, data):
+        codes, classes = service.submit_chunk("f1", data).result(timeout=10)
+        assert len(codes) == len(data)
+        assert set(classes) >= set(data.classes)
 
-    def test_errors_propagate(self, service, chunk):
+    def test_errors_propagate(self, service, data):
         class Exploding:
             classes = ("A", "B")
 
@@ -115,9 +118,9 @@ class TestPredictChunks:
             ServableModel(name="bad", kind="baseline", predictor=Exploding())
         )
         with pytest.raises(RuntimeError, match="boom"):
-            service.submit_chunk("bad", chunk).result(timeout=10)
+            service.submit_chunk("bad", data).result(timeout=10)
 
-    def test_closed_service_rejects_chunks(self, chunk):
+    def test_closed_service_rejects_chunks(self, data):
         registry = ModelRegistry()
         registry.register(
             ServableModel(name="f1", kind=KIND_RULES, predictor=reference_ruleset(1))
@@ -125,36 +128,25 @@ class TestPredictChunks:
         service = PredictionService(registry, ServiceConfig(workers=1))
         service.close()
         with pytest.raises(ServingError, match="closed"):
-            service.submit_chunk("f1", chunk)
+            service.submit_chunk("f1", data)
 
-    def test_observability_counts_chunk_tuples(self, service, chunk):
-        list(service.predict_chunks("f1", chunk.split(1_000)))
+    def test_observability_counts_chunk_tuples(self, service, data):
+        list(service.predict_chunks("f1", pieces(data, 1_000)))
         stats = service.stats("f1")
-        assert stats.records == len(chunk)
+        assert stats.records == len(data)
 
 
 class TestStreamRouting:
     """predict_stream_batches routes columnar inputs through the chunk path."""
 
-    def test_single_chunk(self, service, chunk, data):
-        arrays = list(service.predict_stream_batches("f1", chunk))
-        assert np.concatenate(arrays).tolist() == data.labels
-
-    def test_columnar_dataset(self, service, data):
+    def test_single_chunk(self, service, data):
         arrays = list(service.predict_stream_batches("f1", data))
+        assert [len(a) for a in arrays] == [len(data)]
         assert np.concatenate(arrays).tolist() == data.labels
 
-    def test_iterable_of_chunks(self, service, chunk, data):
-        arrays = list(service.predict_stream_batches("f1", iter(chunk.split(700))))
+    def test_iterable_of_chunks(self, service, data):
+        arrays = list(service.predict_stream_batches("f1", iter(pieces(data, 700))))
         assert [len(a) for a in arrays] == [700, 700, 700, 700, 200]
-        assert np.concatenate(arrays).tolist() == data.labels
-
-    def test_iterable_of_columnar_datasets(self, service, chunk, data):
-        pieces = [
-            chunk.slice(0, 1_500).to_columnar(),
-            chunk.slice(1_500, 3_000).to_columnar(),
-        ]
-        arrays = list(service.predict_stream_batches("f1", iter(pieces)))
         assert np.concatenate(arrays).tolist() == data.labels
 
     def test_record_stream_unchanged(self, service, data):
@@ -164,9 +156,9 @@ class TestStreamRouting:
     def test_empty_stream(self, service):
         assert list(service.predict_stream_batches("f1", iter([]))) == []
 
-    def test_chunk_and_record_paths_agree(self, service, chunk, data):
+    def test_chunk_and_record_paths_agree(self, service, data):
         via_chunks = np.concatenate(
-            list(service.predict_stream_batches("f1", chunk))
+            list(service.predict_stream_batches("f1", data))
         )
         via_records = np.concatenate(
             list(service.predict_stream_batches("f1", iter(data.records)))
