@@ -161,3 +161,25 @@ def test_bench_sql_pushdown_classification():
     # The fetched direction pays ~0.5 Python-object builds per label; it must
     # still clearly beat the per-record loop.
     assert fetch_speedup >= REQUIRED_SPEEDUP / 2
+
+
+#: The mined 82-rule function-2 rule set of the performance benchmark; only
+#: read here.
+MINED_FIXTURE = REPO_ROOT / "perfbench" / "fixtures" / "mined_f2.json"
+#: Every predictor, confusion-matrix query and CLI call renders its rule set
+#: afresh, so compiling the decision tree must stay cheap next to the scan
+#: it speeds up.
+TREE_BUILD_BUDGET_SECONDS = 0.050
+
+
+def test_bench_rule_tree_build():
+    """Compiling the mined 82-rule set into its decision tree takes < 50 ms."""
+    from repro.rules.rule_tree import build_rule_tree
+    from repro.rules.serialization import ruleset_from_json
+
+    mined = ruleset_from_json(MINED_FIXTURE.read_text())
+    seconds, _ = best_of(
+        5, lambda: build_rule_tree(mined.rules, mined.default_class)
+    )
+    print(f"\n[E12] decision tree for {mined.n_rules} mined rules: {1e3 * seconds:.1f} ms")
+    assert seconds < TREE_BUILD_BUDGET_SECONDS

@@ -2,10 +2,14 @@
 
 The NumPy compiler (:mod:`repro.inference.compiler`) pulls tuples *out* of
 storage and evaluates rules over column arrays; this predictor pushes the
-rules *down* instead.  The whole rule set renders once as a single
-first-match ``CASE`` expression (:func:`ruleset_to_case_expression`) and a
+rules *down* instead.  The whole rule set renders once per predictor as a
+single ``CASE`` expression (:func:`ruleset_to_case_expression`) and a
 classification is one sequential scan executed by the database engine —
-no per-record Python, no materialised records.
+no per-record Python, no materialised records.  Up to eight rules the
+expression is a flat first-match ``CASE``; a longer rule set renders as a
+nested ``CASE`` decision tree whose leaves are short first-match lists
+(:mod:`repro.rules.rule_tree`), so a tuple tests a few rules instead of
+all of them and still gets the flat list's label.
 
 Two entry points:
 
@@ -69,11 +73,20 @@ def classification_sql(
     from repro.rules.serialization import ruleset_to_case_expression
 
     case = ruleset_to_case_expression(ruleset, column=column, dialect=dialect)
+    return _select_labels(case, table, dialect)
+
+
+def _select_labels(case: str, table: str, dialect: SqlDialect) -> str:
     return (
         f"SELECT {case}\n"
         f"FROM {dialect.quote_qualified(table)}\n"
         f"ORDER BY rowid"
     )
+
+
+def _fold_ascii(name: str) -> str:
+    """``name`` with its ASCII letters lower-cased: SQLite's identifier case."""
+    return "".join(c.lower() if c.isascii() else c for c in name)
 
 
 class SqlRulePredictor:
@@ -123,6 +136,9 @@ class SqlRulePredictor:
         self.batch_size = batch_size
         self.dialect = store.dialect if store is not None else SQLITE
         self._own_connection: Optional[sqlite3.Connection] = None
+        # The rendered CASE and the rule list it was rendered from.
+        self._case_sql = ""
+        self._case_key: tuple = ()
         # Serialises connection use so the micro-batching service can
         # dispatch predict_batch from its worker threads; a bound store's
         # lock is shared so store reads and pushdown batches never interleave.
@@ -174,11 +190,9 @@ class SqlRulePredictor:
         insert = insert_sql(
             self.schema, STAGING_TABLE, class_column=None, dialect=self.dialect
         )
-        select = classification_sql(
-            self.ruleset, STAGING_TABLE, dialect=self.dialect
-        )
         with obs.trace("sql.classify", mode="staged", rows=n):
             with self._lock:
+                select = _select_labels(self._case(), STAGING_TABLE, self.dialect)
                 connection = self._connection()
                 try:
                     connection.execute(staging_ddl)
@@ -209,9 +223,7 @@ class SqlRulePredictor:
         with obs.trace("sql.classify", mode="stored") as span:
             with self._lock:
                 store._require_table()
-                select = classification_sql(
-                    self.ruleset, store.table, dialect=self.dialect
-                )
+                select = _select_labels(self._case(), store.table, self.dialect)
                 labels = self._fetch_labels(store.connection, select, store.count())
             span.set(rows=len(labels))
         obs.counter("repro_sql_rows_total", "Rows classified by SQL pushdown").inc(
@@ -232,8 +244,9 @@ class SqlRulePredictor:
         store = self._require_store()
         # Compare the unqualified name parts: in sqlite ``main.tuples`` *is*
         # ``tuples``, so a qualified spelling must not slip past the guard
-        # and drop the tuple relation itself.
-        if table.split(".")[-1] == store.table.split(".")[-1]:
+        # and drop the tuple relation itself.  Nor may a case variant:
+        # SQLite matches identifiers case-insensitively (ASCII letters only).
+        if _fold_ascii(table.split(".")[-1]) == _fold_ascii(store.table.split(".")[-1]):
             raise DatabaseError(
                 f"label table {table!r} would overwrite the tuple relation "
                 f"{store.table!r}"
@@ -242,9 +255,7 @@ class SqlRulePredictor:
             store._require_table()
             connection = store.connection
             quoted = self.dialect.quote_qualified(table)
-            select = classification_sql(
-                self.ruleset, store.table, dialect=self.dialect
-            )
+            select = _select_labels(self._case(), store.table, self.dialect)
             # sqlite3 only opens implicit transactions for DML; DDL runs in
             # autocommit, so the drop+create needs an explicit scope to be
             # atomic (a failed CREATE must not leave the old label table
@@ -291,13 +302,8 @@ class SqlRulePredictor:
         store = self._require_store()
         if fetch_size <= 0:
             raise DatabaseError(f"fetch size must be positive, got {fetch_size}")
-        from repro.rules.serialization import ruleset_to_case_expression
-
-        case = ruleset_to_case_expression(
-            self.ruleset, column="predicted_class", dialect=self.dialect
-        )
         sql = (
-            f"SELECT rowid, {case} "
+            f"SELECT rowid, {self._case()} "
             f"FROM {self.dialect.quote_qualified(store.table)} "
             f"WHERE rowid > ? ORDER BY rowid LIMIT ?"
         )
@@ -316,6 +322,23 @@ class SqlRulePredictor:
                 yield decoder.get(label, label) if decoder else label
 
     # -- helpers ------------------------------------------------------------
+
+    def _case(self) -> str:
+        """The rule set's ``CASE`` expression, rendered once per rule list.
+
+        Keyed on the rule values like :meth:`RuleSet.compiled`, so a rule
+        set edited after construction is rendered afresh.
+        """
+        from repro.rules.serialization import ruleset_to_case_expression
+
+        key = (tuple(self.ruleset.rules), self.ruleset.default_class)
+        with self._lock:
+            if self._case_key != key:
+                self._case_sql = ruleset_to_case_expression(
+                    self.ruleset, column="predicted_class", dialect=self.dialect
+                )
+                self._case_key = key
+            return self._case_sql
 
     def _require_store(self) -> TupleStore:
         if self.store is None:

@@ -4,14 +4,18 @@ Rule quality is usually computed by pulling tuples out and replaying the
 rules in Python; against a loaded :class:`~repro.db.store.TupleStore` both
 reports come back from aggregation queries instead:
 
-* :func:`rule_quality` — one ``SELECT`` with two conditional-``SUM``
-  aggregates per rule (tuples covered, tuples covered *and* correctly
-  labelled) plus ``COUNT(*)``; a single sequential scan whatever the rule
-  count.  Each row feeds the same
-  :class:`~repro.rules.ruleset.RuleStatistics` the paper's Table 3 uses.
+* :func:`rule_quality` — one ``SELECT`` with one conditional-``SUM``
+  aggregate per rule (tuples covered) plus ``COUNT(*)``, grouped by the
+  stored label; a single scan evaluates each rule predicate once per tuple,
+  whatever the rule count.  A rule's coverage is its sum over the groups,
+  its correct count the sum in the group labelled with its consequent, and
+  each result feeds the same :class:`~repro.rules.ruleset.RuleStatistics`
+  the paper's Table 3 uses.
 * :func:`confusion_matrix` — the full
   :class:`~repro.metrics.classification.ConfusionMatrix` from one
-  ``GROUP BY (true label, CASE-predicted label)``.
+  ``GROUP BY (true label, CASE-predicted label)``.  The predicted label is
+  the same ``CASE`` expression the pushdown classifier scans with — a
+  nested decision tree for rule sets of more than eight rules.
 """
 
 from __future__ import annotations
@@ -78,29 +82,37 @@ def rule_quality_sql(
     class_column: str = "class",
     dialect: SqlDialect = SQLITE,
 ) -> str:
-    """The single-scan per-rule quality ``SELECT`` (two aggregates per rule).
+    """The single-scan per-rule quality ``SELECT``, one row per stored label.
 
-    Every rule is evaluated independently (no first-match shadowing), which
-    is exactly what the paper's Table 3 reports.
+    Each row holds the label, then one ``label = consequent`` flag per
+    distinct consequent (in order of first appearance), then each rule's
+    covered count and the group's ``COUNT(*)``.  Every rule is evaluated
+    independently (no first-match shadowing), which is exactly what the
+    paper's Table 3 reports.
     """
     from repro.rules.serialization import rule_to_sql
 
     label = dialect.quote(class_column)
-    parts: List[str] = []
-    for index, rule in enumerate(ruleset.rules):
-        predicate = rule_to_sql(rule, dialect)
-        consequent = dialect.literal(rule.consequent)
+    parts: List[str] = [f"  {label}"]
+    for index, consequent in enumerate(_consequents(ruleset)):
         parts.append(
-            f"  SUM(CASE WHEN {predicate} THEN 1 ELSE 0 END) "
-            f"AS {dialect.quote(f'covered_{index}')}"
+            f"  {label} = {dialect.literal(consequent)} "
+            f"AS {dialect.quote(f'is_consequent_{index}')}"
         )
+    for index, rule in enumerate(ruleset.rules):
         parts.append(
-            f"  SUM(CASE WHEN ({predicate}) AND {label} = {consequent} "
-            f"THEN 1 ELSE 0 END) AS {dialect.quote(f'correct_{index}')}"
+            f"  SUM(CASE WHEN {rule_to_sql(rule, dialect)} THEN 1 ELSE 0 END) "
+            f"AS {dialect.quote(f'covered_{index}')}"
         )
     parts.append("  COUNT(*) AS n_rows")
     body = ",\n".join(parts)
-    return f"SELECT\n{body}\nFROM {dialect.quote_qualified(table)}"
+    # Ordinal position, not the name: see confusion_sql.
+    return f"SELECT\n{body}\nFROM {dialect.quote_qualified(table)}\nGROUP BY 1"
+
+
+def _consequents(ruleset: "RuleSet[AttributeRule]") -> List:
+    """The distinct rule consequents, in order of first appearance."""
+    return list(dict.fromkeys(rule.consequent for rule in ruleset.rules))
 
 
 def _check_evaluable(store: TupleStore, ruleset: "RuleSet[AttributeRule]") -> None:
@@ -132,19 +144,23 @@ def rule_quality(store: TupleStore, ruleset: "RuleSet[AttributeRule]") -> List[S
     sql = rule_quality_sql(ruleset, store.table, store.class_column, store.dialect)
     with store.lock:
         store._require_table()
-        row = store.connection.execute(sql).fetchone()
-    n_rows = int(row[-1])
+        groups = store.connection.execute(sql).fetchall()
+    # Row layout: label, one flag per consequent, one count per rule, size.
+    # An empty relation has no groups, so every sum below is 0.
+    consequents = _consequents(ruleset)
+    flag_of = {c: 1 + i for i, c in enumerate(consequents)}
+    first_count = 1 + len(consequents)
+    n_rows = sum(int(group[-1]) for group in groups)
     qualities: List[SqlRuleQuality] = []
     for index, rule in enumerate(ruleset.rules):
-        covered = row[2 * index]
-        correct = row[2 * index + 1]
+        column = first_count + index
+        flag = flag_of[rule.consequent]
         qualities.append(
             SqlRuleQuality(
                 rule_index=index,
                 consequent=rule.consequent,
-                # SUM over zero rows is NULL, not 0.
-                covered=int(covered) if covered is not None else 0,
-                correct=int(correct) if correct is not None else 0,
+                covered=sum(int(group[column]) for group in groups),
+                correct=sum(int(group[column]) for group in groups if group[flag]),
                 n_rows=n_rows,
             )
         )

@@ -8,6 +8,9 @@ This module makes that concrete:
 * :func:`rule_to_sql` / :func:`ruleset_to_sql` render attribute rules as SQL
   ``WHERE`` predicates (and full ``SELECT`` statements) so the mined rules can
   be executed against the relation they were mined from;
+* :func:`ruleset_to_case_expression` renders the whole classifier as one
+  ``CASE`` expression — a flat first-match list up to eight rules, a nested
+  first-match decision tree (:mod:`repro.rules.rule_tree`) beyond;
 * :func:`ruleset_to_json` / :func:`ruleset_from_json` provide a lossless
   round-trip for persisting rule sets.
 
@@ -30,6 +33,7 @@ from repro.exceptions import RuleError
 from repro.preprocessing.intervals import Interval
 from repro.rules.conditions import IntervalCondition, MembershipCondition
 from repro.rules.rule import AttributeCondition, AttributeRule
+from repro.rules.rule_tree import LEAF_RULES, RuleLeaf, RuleTree, build_rule_tree
 from repro.rules.ruleset import RuleSet
 
 
@@ -115,6 +119,49 @@ def ruleset_to_sql(
     return statements
 
 
+def _case_lines(
+    rules: Sequence[AttributeRule], default_class: str, dialect: SqlDialect
+) -> List[str]:
+    """A flat first-match ``CASE`` over ``rules``, one line per arm.
+
+    With no rule the classifier is just the default-class literal (``CASE``
+    needs at least one ``WHEN`` arm to be valid SQL).
+    """
+    default = dialect.literal(default_class)
+    if not rules:
+        return [default]
+    return [
+        "CASE",
+        *(
+            f"  WHEN {rule_to_sql(rule, dialect)} "
+            f"THEN {dialect.literal(rule.consequent)}"
+            for rule in rules
+        ),
+        f"  ELSE {default}",
+        "END",
+    ]
+
+
+def _tree_lines(tree: RuleTree, default_class: str, dialect: SqlDialect) -> List[str]:
+    """A rule tree as nested ``CASE WHEN <test> THEN <subtree> ELSE <subtree>
+    END``, each leaf a flat :func:`_case_lines` ``CASE``."""
+    if isinstance(tree, RuleLeaf):
+        return _case_lines(tree.rules, default_class, dialect)
+    lines = ["CASE"]
+    for head, subtree in (
+        (f"  WHEN {condition_to_sql(tree.test, dialect)} THEN", tree.then),
+        ("  ELSE", tree.otherwise),
+    ):
+        body = _tree_lines(subtree, default_class, dialect)
+        if len(body) == 1:
+            lines.append(f"{head} {body[0]}")
+        else:
+            lines.append(head)
+            lines.extend(f"    {line}" for line in body)
+    lines.append("END")
+    return lines
+
+
 def ruleset_to_case_expression(
     ruleset: RuleSet[AttributeRule],
     column: str = "predicted_class",
@@ -127,21 +174,24 @@ def ruleset_to_case_expression(
     would.  Unsatisfiable rules (the paper discards rule R'1, which "can
     never be satisfied by any tuple") are skipped instead of emitting dead
     ``WHEN 0=1`` arms; when *no* rule is satisfiable the whole classifier
-    collapses to the default-class literal (``CASE`` needs at least one
-    ``WHEN`` arm to be valid SQL).
+    collapses to the default-class literal.
+
+    Up to :data:`~repro.rules.rule_tree.LEAF_RULES` satisfiable rules render
+    as one flat ``CASE`` with an arm per rule.  A longer list is compiled by
+    :func:`~repro.rules.rule_tree.build_rule_tree` into a first-match
+    decision tree and renders as nested ``CASE WHEN <test> THEN <subtree>
+    ELSE <subtree> END`` whose leaves are flat ``CASE`` lists: a tuple
+    evaluates only the tests on its path and the rules of one leaf instead
+    of every rule, and still gets exactly the label the flat list gives it
+    (NULL attributes included).
     """
     satisfiable = [rule for rule in ruleset.rules if rule.is_satisfiable()]
-    quoted_column = dialect.quote(column)
-    if not satisfiable:
-        return f"{dialect.literal(ruleset.default_class)} AS {quoted_column}"
-    lines = ["CASE"]
-    for rule in satisfiable:
-        lines.append(
-            f"  WHEN {rule_to_sql(rule, dialect)} "
-            f"THEN {dialect.literal(rule.consequent)}"
-        )
-    lines.append(f"  ELSE {dialect.literal(ruleset.default_class)}")
-    lines.append(f"END AS {quoted_column}")
+    if len(satisfiable) > LEAF_RULES:
+        tree = build_rule_tree(satisfiable, ruleset.default_class)
+        lines = _tree_lines(tree, ruleset.default_class, dialect)
+    else:
+        lines = _case_lines(satisfiable, ruleset.default_class, dialect)
+    lines[-1] += f" AS {dialect.quote(column)}"
     return "\n".join(lines)
 
 

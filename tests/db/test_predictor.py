@@ -228,6 +228,43 @@ class TestStoredClassification:
                 predictor.classify_into(f"main.{store.table}")
             assert store.count() == 20  # the stored tuples survived
 
+    @pytest.mark.parametrize("spelling", ["Tuples", "TUPLES", "main.Tuples"])
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_classify_into_case_variant_refused_before_any_statement(
+        self, schema, spelling, drop
+    ):
+        """Regression: SQLite identifiers are case-insensitive, so
+        ``Tuples`` *is* ``tuples``.  The guard compared names exactly, and
+        ``drop=True`` ran ``DROP TABLE "Tuples"`` against the tuple
+        relation.  Its own error must come before any statement runs."""
+        data = generate(1, n=20)
+        with TupleStore(schema) as store:
+            store.create()
+            store.load(data)
+            predictor = SqlRulePredictor(reference_ruleset(1), store=store)
+            statements = []
+            store.connection.set_trace_callback(statements.append)
+            try:
+                with pytest.raises(DatabaseError, match="would overwrite the tuple relation"):
+                    predictor.classify_into(spelling, drop=drop)
+            finally:
+                store.connection.set_trace_callback(None)
+            assert statements == []
+            assert store.count() == 20
+
+    def test_classify_into_non_ascii_case_is_another_table(self, schema):
+        """SQLite folds case for ASCII letters only: ``tuplés`` and
+        ``TUPLÉS`` are two tables, neither of them the tuple relation."""
+        data = generate(1, n=20)
+        with TupleStore(schema, table="tuplés") as store:
+            store.create()
+            store.load(data)
+            predictor = SqlRulePredictor(reference_ruleset(1), store=store)
+            with pytest.raises(DatabaseError, match="overwrite"):
+                predictor.classify_into("TUPLéS")
+            assert predictor.classify_into("TUPLÉS") == 20
+            assert store.count() == 20
+
     def test_classify_into_failure_keeps_previous_labels(self, schema):
         """The drop+create is atomic: when CREATE fails the old label table
         must still be there (sqlite DDL is autocommit without the guard)."""
@@ -281,6 +318,39 @@ class TestStoredClassification:
         predictor = SqlRulePredictor(reference_ruleset(1), schema=schema)
         with pytest.raises(DatabaseError, match="not bound"):
             predictor.classify_stored()
+
+    def test_case_expression_rendered_once_per_predictor(self, schema, monkeypatch):
+        """Every staged micro-batch and stored scan reuses one rendering;
+        an edited rule list is rendered afresh."""
+        from repro.rules import serialization
+
+        renders = []
+        render = serialization.ruleset_to_case_expression
+
+        def counting(*args, **kwargs):
+            renders.append(args[0].n_rules)
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(serialization, "ruleset_to_case_expression", counting)
+        reference = reference_ruleset(4)
+        ruleset = RuleSet(
+            list(reference.rules), reference.default_class, reference.classes
+        )
+        data = generate(4, n=60)
+        with TupleStore(schema) as store:
+            store.create()
+            store.load(data)
+            predictor = SqlRulePredictor(ruleset, store=store)
+            for start in range(0, 60, 20):
+                predictor.predict_batch(data.records[start : start + 20])
+            predictor.classify_stored()
+            list(predictor.iter_classified(fetch_size=25))
+            predictor.classify_into("labels")
+            assert renders == [ruleset.n_rules]
+            ruleset.rules.pop()
+            labels = predictor.classify_stored()
+        assert renders == [ruleset.n_rules + 1, ruleset.n_rules]
+        assert labels.tolist() == ruleset.compiled().predict_batch(data).tolist()
 
     def test_ad_hoc_batches_leave_store_intact(self, schema):
         data = generate(1, n=100)

@@ -93,9 +93,11 @@ class TestRuleQuality:
     def test_single_scan_sql_shape(self):
         ruleset = reference_ruleset(2)
         sql = rule_quality_sql(ruleset, "tuples")
-        # One sequential scan: exactly one FROM, two aggregates per rule.
+        # One sequential scan: exactly one FROM, one aggregate per rule,
+        # grouped by the stored label.
         assert sql.count("FROM") == 1
-        assert sql.count("SUM(") == 2 * ruleset.n_rules
+        assert sql.count("SUM(") == ruleset.n_rules
+        assert sql.count("GROUP BY") == 1
 
     def test_empty_relation_reports_zero(self):
         with TupleStore(agrawal_schema()) as store:
