@@ -72,7 +72,7 @@ def generate_customers(n: int, seed: int, noise: float = 0.05) -> Dataset:
             churns = not churns
         records.append(record)
         labels.append("churn" if churns else "stay")
-    return Dataset(schema, records, labels)
+    return Dataset.from_records(schema, records, labels)
 
 
 def churn_encoder(schema: Schema) -> TupleEncoder:

@@ -44,7 +44,7 @@ def build_dataset(n: int = 400, seed: int = 0) -> Dataset:
         owns_home = int(rng.integers(0, 2))
         records.append({"income": income, "age": age, "owns_home": owns_home})
         labels.append("approve" if income >= 40_000 and age < 55 else "reject")
-    return Dataset(schema, records, labels)
+    return Dataset.from_records(schema, records, labels)
 
 
 def main() -> None:

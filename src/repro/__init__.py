@@ -56,7 +56,6 @@ from repro.data.agrawal import (
     agrawal_schema,
     generate_function_dataset,
 )
-from repro.data.columnar import ColumnarDataset
 from repro.data.dataset import Dataset
 from repro.data.schema import CategoricalAttribute, ContinuousAttribute, Schema
 from repro.exceptions import ReproError
@@ -68,7 +67,6 @@ __all__ = [
     "AgrawalGenerator",
     "BatchPredictor",
     "CategoricalAttribute",
-    "ColumnarDataset",
     "ContinuousAttribute",
     "Dataset",
     "DriftPoint",

@@ -133,12 +133,6 @@ def dotted_name(node: ast.AST) -> str:
     return ""
 
 
-def iter_class_defs(tree: ast.Module) -> Iterator[ast.ClassDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            yield node
-
-
 def is_self_attribute(node: ast.AST, names: Iterable[str]) -> bool:
     """True for ``self.<attr>`` where ``attr`` is one of ``names``."""
     return (

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.baselines.c45.criteria import class_counts, entropy, information_gain
 from repro.data.dataset import Dataset, Record
-from repro.data.schema import AttributeValue, CategoricalAttribute, ContinuousAttribute
+from repro.data.schema import AttributeValue, ContinuousAttribute
 from repro.exceptions import BaselineError
 from repro.inference.columns import ColumnCache
 from repro.inference.inputs import normalize_batch_input
@@ -96,12 +96,6 @@ class ID3Classifier:
         attributes = dataset.schema.attribute_names
         self.root_ = self._build(records, list(dataset.labels), attributes, depth=0)
         return self
-
-    def _domain(self, schema_attribute, name: str) -> List[AttributeValue]:
-        if name in self.partitions_:
-            return list(range(self.partitions_[name].n_subintervals))
-        assert isinstance(schema_attribute, CategoricalAttribute)
-        return list(schema_attribute.values)
 
     def _build(
         self,

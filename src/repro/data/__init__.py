@@ -7,8 +7,7 @@ from repro.data.agrawal import (
     class_balance_report,
     generate_function_dataset,
 )
-from repro.data.columnar import ColumnarDataset, columnar_from_records
-from repro.data.dataset import Dataset, from_arrays
+from repro.data.dataset import Dataset
 from repro.data.io import (
     infer_schema,
     iter_csv_records,
@@ -48,7 +47,6 @@ __all__ = [
     "AgrawalGenerator",
     "BATCH_FUNCTIONS",
     "CategoricalAttribute",
-    "ColumnarDataset",
     "ContinuousAttribute",
     "Dataset",
     "DriftPoint",
@@ -62,8 +60,6 @@ __all__ = [
     "binary_schema",
     "boolean_function_dataset",
     "class_balance_report",
-    "columnar_from_records",
-    "from_arrays",
     "generate_function_dataset",
     "get_batch_function",
     "get_function",

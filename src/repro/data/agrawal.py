@@ -29,14 +29,18 @@ Columnar generation
 Generation is columnar: all nine attributes are sampled as NumPy arrays in
 one shot (:meth:`AgrawalGenerator.generate`), labelled with the vectorised
 benchmark functions and perturbed with clipped vectorised noise, yielding a
-:class:`~repro.data.columnar.ColumnarDataset`.  A per-record reference path
-(:meth:`AgrawalGenerator.generate_scalar`) is kept for equivalence testing:
-every random stream is a *per-attribute* child of the seed, consumed one
-value per tuple, so the scalar and columnar paths (and any chunking of the
-columnar path) produce bit-identical tuples, labels and perturbed values.
+:class:`~repro.data.dataset.Dataset` built straight from the column arrays.
+A per-record reference path (:meth:`AgrawalGenerator.generate_scalar`) is
+kept for equivalence testing: it samples, labels and perturbs one record
+dict at a time and hands the dicts to :meth:`Dataset.from_records
+<repro.data.dataset.Dataset.from_records>`, whose record view keeps them as
+they are.  Every random stream is a *per-attribute* child of the seed,
+consumed one value per tuple, so the scalar and columnar paths (and any
+chunking of the columnar path) produce bit-identical tuples, labels and
+perturbed values.
 
 :meth:`AgrawalGenerator.iter_chunks` streams a workload as bounded-size
-:class:`~repro.data.columnar.ColumnarDataset` chunks — the same type
+:class:`~repro.data.dataset.Dataset` chunks — the same type
 :meth:`~AgrawalGenerator.generate` returns and training consumes, labels
 carried as class-index codes — and supports *drift scenarios*: a
 :class:`DriftPoint` switches the labelling function and/or the perturbation
@@ -65,7 +69,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.data.columnar import ColumnarDataset
 from repro.data.dataset import Dataset, Record
 from repro.data.functions import (
     BatchLabeller,
@@ -339,7 +342,7 @@ class AgrawalGenerator:
         """Generate a single-record dataset (mostly useful in doctests)."""
         return self.generate(1)
 
-    def generate(self, n: int) -> ColumnarDataset:
+    def generate(self, n: int) -> Dataset:
         """Generate ``n`` labelled, perturbed records columnar-fashion.
 
         All nine attribute columns are sampled in one vectorised shot,
@@ -351,9 +354,7 @@ class AgrawalGenerator:
             raise DataGenerationError(f"number of tuples must be positive, got {n}")
         clean = self._sample_columns(n)
         labels = self._batch_labeller(clean)
-        return ColumnarDataset(
-            self.schema, self._perturb_columns(clean), labels, validate=False
-        )
+        return Dataset(self.schema, self._perturb_columns(clean), labels, validate=False)
 
     def generate_scalar(self, n: int) -> Dataset:
         """Generate ``n`` records through the per-record reference path.
@@ -372,9 +373,9 @@ class AgrawalGenerator:
             clean = self._sample_record()
             labels.append(self._labeller(clean))
             records.append(self._perturb(clean))
-        return Dataset(self.schema, records, labels, validate=False)
+        return Dataset.from_records(self.schema, records, labels, validate=False)
 
-    def generate_clean(self, n: int) -> ColumnarDataset:
+    def generate_clean(self, n: int) -> Dataset:
         """Generate ``n`` labelled records *without* perturbation.
 
         Useful for tests that check the generator's labelling logic exactly.
@@ -383,7 +384,7 @@ class AgrawalGenerator:
             raise DataGenerationError(f"number of tuples must be positive, got {n}")
         clean = self._sample_columns(n)
         labels = self._batch_labeller(clean)
-        return ColumnarDataset(self.schema, clean, labels, validate=False)
+        return Dataset(self.schema, clean, labels, validate=False)
 
     def generate_clean_scalar(self, n: int) -> Dataset:
         """Per-record reference path of :meth:`generate_clean`."""
@@ -397,7 +398,7 @@ class AgrawalGenerator:
             clean = self._sample_record()
             records.append(clean)
             labels.append(self._labeller(clean))
-        return Dataset(self.schema, records, labels, validate=False)
+        return Dataset.from_records(self.schema, records, labels, validate=False)
 
     # -- streaming ---------------------------------------------------------
 
@@ -407,8 +408,8 @@ class AgrawalGenerator:
         chunk_size: int = 100_000,
         drift: Optional[Sequence[DriftPoint]] = None,
         processes: Optional[int] = None,
-    ) -> Iterator[ColumnarDataset]:
-        """Stream ``n`` tuples as bounded-size :class:`ColumnarDataset` chunks.
+    ) -> Iterator[Dataset]:
+        """Stream ``n`` tuples as bounded-size :class:`Dataset` chunks.
 
         Memory stays bounded by ``chunk_size`` whatever ``n`` is, and labels
         travel as class-index codes (``chunk.label_codes``) — the string
@@ -457,7 +458,7 @@ class AgrawalGenerator:
         n: int,
         chunk_size: int,
         drift: Optional[Sequence[DriftPoint]],
-    ) -> Iterator[ColumnarDataset]:
+    ) -> Iterator[Dataset]:
         points = sorted(drift or [], key=lambda point: point.at)
         offsets = [point.at for point in points]
         if len(set(offsets)) != len(offsets):
@@ -483,7 +484,7 @@ class AgrawalGenerator:
                 "generate.chunk", chunk=index, rows=count, function=self.function
             ):
                 clean = self._sample_columns(count)
-                chunk = ColumnarDataset(
+                chunk = Dataset(
                     self.schema,
                     self._perturb_columns(clean, perturbation),
                     batch_labeller(clean),
@@ -516,7 +517,7 @@ class AgrawalGenerator:
 
     def _iter_chunks_parallel(
         self, n: int, chunk_size: int, processes: int
-    ) -> Iterator[ColumnarDataset]:
+    ) -> Iterator[Dataset]:
         # Imported here: fanout pulls in concurrent.futures/multiprocessing,
         # which pure in-process generation never needs.
         from repro.data.fanout import ChunkFanout
@@ -542,14 +543,14 @@ class AgrawalGenerator:
             "repro_generate_tuples_total", "Tuples produced by the generator"
         )
 
-        def counted() -> Iterator[ColumnarDataset]:
+        def counted() -> Iterator[Dataset]:
             for chunk in pool.imap(_generate_parallel_chunk, jobs):
                 generated.inc(len(chunk))
                 yield chunk
 
         return counted()
 
-    def train_test(self, n_train: int, n_test: int) -> Dict[str, ColumnarDataset]:
+    def train_test(self, n_train: int, n_test: int) -> Dict[str, Dataset]:
         """Generate independent training and testing datasets.
 
         The paper trains on 1 000 tuples and tests on 1 000 tuples for the
@@ -565,7 +566,7 @@ def _generate_parallel_chunk(
     seed: np.random.SeedSequence,
     count: int,
     schema: Schema,
-) -> ColumnarDataset:
+) -> Dataset:
     """Fan-out worker body: one whole chunk from its own seed child.
 
     Top-level (not a method) so the pool can pickle it by reference under
@@ -583,7 +584,7 @@ def generate_function_dataset(
     n: int,
     perturbation: float = 0.05,
     seed: Optional[int] = None,
-) -> ColumnarDataset:
+) -> Dataset:
     """One-call convenience wrapper around :class:`AgrawalGenerator`."""
     return AgrawalGenerator(function=function, perturbation=perturbation, seed=seed).generate(n)
 

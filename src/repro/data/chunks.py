@@ -8,9 +8,10 @@ generation (:meth:`AgrawalGenerator.iter_chunks
 (:meth:`PredictionService.predict_chunks
 <repro.serving.service.PredictionService.predict_chunks>`) and DB load
 (:meth:`TupleStore.load <repro.db.store.TupleStore.load>`).  Each batch — a
-*chunk* — is a :class:`~repro.data.columnar.ColumnarDataset`, the same type
-training consumes: read-only column arrays plus an ``int64`` label-code
-array, zero-copy ``subset`` views and ``with_label_codes`` re-labelling.
+*chunk* — is a :class:`~repro.data.dataset.Dataset`, the one dataset type,
+which training consumes too: read-only column arrays plus an ``int64``
+label-code array, zero-copy ``subset`` views and ``with_label_codes``
+re-labelling.
 This module adds what a chunk stream needs beyond one dataset:
 
 * **Shared-memory transport.**  :func:`chunk_to_shared` /
@@ -32,7 +33,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.data.columnar import LABEL_CODE_DTYPE, ColumnarDataset
+from repro.data.dataset import LABEL_CODE_DTYPE, Dataset
 from repro.data.schema import Schema
 from repro.exceptions import SchemaError
 
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 
-def concat_chunks(chunks: Sequence[ColumnarDataset]) -> ColumnarDataset:
+def concat_chunks(chunks: Sequence[Dataset]) -> Dataset:
     """One dataset holding every row of ``chunks``, in order.
 
     One ``np.concatenate`` per column (and one for the label codes); the
@@ -68,7 +69,7 @@ def concat_chunks(chunks: Sequence[ColumnarDataset]) -> ColumnarDataset:
         for name in head.schema.attribute_names
     }
     codes = np.concatenate([c.label_codes for c in chunks])
-    return ColumnarDataset(
+    return Dataset(
         head.schema, columns, codes, validate=False, classes=head.classes
     )
 
@@ -126,7 +127,7 @@ def _transport_dtype(column: np.ndarray, attribute_name: str) -> np.dtype:
     return column.dtype
 
 
-def chunk_to_shared(chunk: ColumnarDataset) -> SharedChunkMeta:
+def chunk_to_shared(chunk: Dataset) -> SharedChunkMeta:
     """Copy ``chunk`` (columns, then label codes) into a fresh shared-memory
     segment.
 
@@ -173,9 +174,9 @@ def chunk_to_shared(chunk: ColumnarDataset) -> SharedChunkMeta:
     return meta
 
 
-def chunk_from_shared(schema: Schema, meta: SharedChunkMeta) -> ColumnarDataset:
+def chunk_from_shared(schema: Schema, meta: SharedChunkMeta) -> Dataset:
     """Map a shared-memory segment back into a zero-copy
-    :class:`~repro.data.columnar.ColumnarDataset`.
+    :class:`~repro.data.dataset.Dataset`.
 
     The returned chunk owns the segment: when the chunk (and every subset
     taken from it) is garbage-collected, the segment is closed and unlinked.
@@ -197,7 +198,7 @@ def chunk_from_shared(schema: Schema, meta: SharedChunkMeta) -> ColumnarDataset:
     codes = np.ndarray(
         (meta.n,), dtype=LABEL_CODE_DTYPE, buffer=segment.buf, offset=offset
     )
-    return ColumnarDataset(
+    return Dataset(
         schema, columns, codes, validate=False, classes=meta.classes, owner=segment
     )
 
@@ -221,7 +222,7 @@ def _release_segment(name: str) -> None:
         pass
 
 
-def release_shared_chunk(chunk: ColumnarDataset) -> None:
+def release_shared_chunk(chunk: Dataset) -> None:
     """Explicitly release a shared-memory-backed chunk's segment.
 
     Optional — the finalizer installed by :func:`chunk_from_shared` releases

@@ -4,7 +4,7 @@ The generation side of the pipeline is embarrassingly parallel — each chunk
 of an Agrawal workload is an independent draw from its own seed child — but a
 naive process pool pays to pickle every produced row back to the parent.
 :class:`ChunkFanout` keeps the pool and kills the pickling: workers build
-their chunk (a :class:`~repro.data.columnar.ColumnarDataset`) locally, park
+their chunk (a :class:`~repro.data.dataset.Dataset`) locally, park
 its columns in a shared-memory segment via
 :func:`~repro.data.chunks.chunk_to_shared`, and
 send only the tiny :class:`~repro.data.chunks.SharedChunkMeta` descriptor
@@ -17,7 +17,8 @@ pool's shared-memory footprint instead of letting it grow with ``n``.
 
 Producers must be *top-level callables* (pickled by reference under every
 start method); each job is ``(args, kwargs)`` for one producer call returning
-a :class:`~repro.data.columnar.ColumnarDataset`.
+a :class:`~repro.data.dataset.Dataset` whose columns are numeric or
+boolean (object columns cannot ride shared memory).
 
 Telemetry rides the same channel as the data: when tracing is enabled, each
 worker wraps its producer call in a ``fanout.produce`` span, exports its
@@ -41,7 +42,7 @@ from repro.data.chunks import (
     chunk_to_shared,
     release_shared_chunk,
 )
-from repro.data.columnar import ColumnarDataset
+from repro.data.dataset import Dataset
 from repro.data.schema import Schema
 from repro.exceptions import DataGenerationError
 
@@ -53,7 +54,7 @@ _PREFETCH = 2
 
 
 def _run_job(
-    producer: Callable[..., ColumnarDataset],
+    producer: Callable[..., Dataset],
     args: Tuple[Any, ...],
     kwargs: Dict[str, Any],
     capture: bool = False,
@@ -69,11 +70,6 @@ def _run_job(
         obs.enable_tracing()
     with obs.trace("fanout.produce", job=job) as span:
         chunk = producer(*args, **kwargs)
-        if not isinstance(chunk, ColumnarDataset):
-            raise DataGenerationError(
-                f"fan-out producer returned {type(chunk).__name__}, "
-                "expected ColumnarDataset"
-            )
         span.set(rows=len(chunk))
         meta = chunk_to_shared(chunk)
     return meta, (obs.export_spans(clear=True) if capture else None)
@@ -119,9 +115,9 @@ class ChunkFanout:
 
     def imap(
         self,
-        producer: Callable[..., ColumnarDataset],
+        producer: Callable[..., Dataset],
         jobs: Sequence[Tuple[Tuple[Any, ...], Dict[str, Any]]],
-    ) -> Iterator[ColumnarDataset]:
+    ) -> Iterator[Dataset]:
         """Yield ``producer(*args, **kwargs)`` chunks in job order.
 
         At most ``processes + prefetch`` jobs are in flight at once; the
@@ -183,10 +179,10 @@ class ChunkFanout:
 
 def fanout_chunks(
     schema: Schema,
-    producer: Callable[..., ColumnarDataset],
+    producer: Callable[..., Dataset],
     jobs: Sequence[Tuple[Tuple[Any, ...], Dict[str, Any]]],
     processes: int,
     prefetch: int = _PREFETCH,
-) -> Iterator[ColumnarDataset]:
+) -> Iterator[Dataset]:
     """One-call convenience wrapper around :meth:`ChunkFanout.imap`."""
     return ChunkFanout(schema, processes, prefetch).imap(producer, jobs)

@@ -113,16 +113,16 @@ def load_csv(path: PathLike, schema: Schema, class_column: str = "class") -> Dat
     missing = [name for name in schema.attribute_names + [class_column] if name not in rows[0]]
     if missing:
         raise DataGenerationError(f"CSV file is missing columns: {missing}")
-    records: List[Record] = []
-    labels: List[str] = []
-    for row in rows:
-        record = {
-            attribute.name: _parse_value(attribute, row[attribute.name])
-            for attribute in schema.attributes
-        }
-        records.append(record)
-        labels.append(row[class_column])
-    return Dataset(schema, records, labels)
+    return _dataset_from_rows(rows, schema, class_column)
+
+
+def _dataset_from_rows(
+    rows: Sequence[Dict[str, str]], schema: Schema, class_column: str
+) -> Dataset:
+    """Parse raw CSV rows against ``schema`` into a validated dataset."""
+    records = [_record_from_row(row, schema, class_column) for row in rows]
+    labels = [row[class_column] for row in rows]
+    return Dataset.from_records(schema, records, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +350,4 @@ def load_csv_with_inferred_schema(
         max_categorical_cardinality=max_categorical_cardinality,
         ordered_columns=ordered_columns,
     )
-    records: List[Record] = []
-    labels: List[str] = []
-    for row in rows:
-        record = {
-            attribute.name: _parse_value(attribute, row[attribute.name])
-            for attribute in schema.attributes
-        }
-        records.append(record)
-        labels.append(row[class_column])
-    return Dataset(schema, records, labels)
+    return _dataset_from_rows(rows, schema, class_column)

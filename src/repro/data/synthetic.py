@@ -22,8 +22,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.data.columnar import ColumnarDataset
-from repro.data.dataset import Dataset, Record
+from repro.data.dataset import Dataset
 from repro.data.schema import CategoricalAttribute, Schema
 from repro.exceptions import DataGenerationError
 
@@ -81,7 +80,7 @@ def boolean_function_dataset(
         ["A" if function(tuple(row)) else "B" for row in bits.tolist()]
     )
     columns = {f"x{i + 1}": bits[:, i] for i in range(n_inputs)}
-    return ColumnarDataset(schema, columns, labels, validate=False)
+    return Dataset(schema, columns, labels, validate=False)
 
 
 def xor_dataset(n_copies: int = 1) -> Dataset:

@@ -9,7 +9,7 @@ execution path here instead of a string renderer:
   statement is built from;
 * :mod:`repro.db.schema` — ``CREATE TABLE``/``CREATE INDEX``/``INSERT`` DDL
   derived from a :class:`repro.data.schema.Schema`;
-* :mod:`repro.db.store` — :class:`TupleStore`, bulk-loading columnar datasets
+* :mod:`repro.db.store` — :class:`TupleStore`, bulk-loading datasets
   (or streamed chunk generators) into SQLite in bounded memory and streaming
   them back out;
 * :mod:`repro.db.predictor` — :class:`SqlRulePredictor`, the

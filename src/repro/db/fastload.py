@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.data.columnar import ColumnarDataset, storage_dtype
+from repro.data.dataset import Dataset, storage_dtype
 from repro.data.schema import Schema
 from repro.db.dialect import SQLITE, SqlDialect
 from repro.db.schema import schema_ddl
@@ -141,7 +141,7 @@ class RawSqliteWriter:
     def __len__(self) -> int:
         return self._n
 
-    def append(self, chunk: ColumnarDataset) -> None:
+    def append(self, chunk: Dataset) -> None:
         """Queue one labelled chunk (column references only, no copies)."""
         if chunk.schema.attribute_names != self.schema.attribute_names:
             raise DatabaseError(

@@ -35,7 +35,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING, Uni
 import numpy as np
 
 from repro import obs
-from repro.data.columnar import ColumnarDataset
 from repro.data.dataset import Dataset, Record
 from repro.data.schema import Schema
 from repro.db.dialect import SQLITE, SqlDialect
@@ -44,7 +43,6 @@ from repro.db.store import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_FETCH_SIZE,
     TupleStore,
-    dataset_rows,
     insert_in_batches,
 )
 from repro.exceptions import DatabaseError
@@ -372,13 +370,12 @@ class SqlRulePredictor:
                 "SqlRulePredictor classifies records, not encoded matrices; "
                 "pass a dataset or a sequence of attribute mappings"
             )
-        if isinstance(data, ColumnarDataset):
-            # tolist() already yields Python scalars; no per-value unwrap.
-            return dataset_rows(data, include_label=False), len(data)
         if isinstance(data, Dataset):
-            records: Sequence[Record] = data.records
-        else:
-            records = list(data)
+            # Columns by the staging table's names, whatever order the
+            # dataset's own schema lists them in; tolist() already yields
+            # Python scalars, so no per-value unwrap.
+            return zip(*(data.column(name).tolist() for name in names)), len(data)
+        records = list(data)
         missing_ok_rows = (
             tuple(self._row_value(record, name) for name in names)
             for record in records

@@ -1,6 +1,6 @@
 """DDL derivation: from attribute schemas to ``CREATE TABLE`` statements.
 
-Column types follow :func:`repro.data.columnar.storage_dtype`, the one rule
+Column types follow :func:`repro.data.dataset.storage_dtype`, the one rule
 that also types columns built from records and the store's read-back
 chunks, so write and read typing cannot drift:
 
@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.data.columnar import storage_dtype
+from repro.data.dataset import storage_dtype
 from repro.data.schema import Attribute, Schema
 from repro.db.dialect import SQLITE, SqlDialect
 from repro.exceptions import DatabaseError

@@ -3,16 +3,17 @@
 :class:`TupleStore` owns one :mod:`sqlite3` connection and one relation whose
 columns are derived from a :class:`~repro.data.schema.Schema` (see
 :func:`repro.db.schema.schema_ddl`).  The store speaks the library's one
-columnar type in both directions: :meth:`TupleStore.load` takes a
-:class:`~repro.data.columnar.ColumnarDataset` — or a multi-million-tuple
-stream of them such as :meth:`AgrawalGenerator.iter_chunks
-<repro.data.agrawal.AgrawalGenerator.iter_chunks>` — through batched
-``executemany`` over bounded slices or the raw-page writer, so the tuples
-land on disk without ever materialising in Python; reading back is
-symmetric — :meth:`TupleStore.iter_chunks` turns cursor pages back into
-``ColumnarDataset`` chunks for the NumPy inference path, and
+dataset type in both directions: :meth:`TupleStore.load` takes a
+:class:`~repro.data.dataset.Dataset` — or a multi-million-tuple stream of
+them such as :meth:`AgrawalGenerator.iter_chunks
+<repro.data.agrawal.AgrawalGenerator.iter_chunks>` — through the raw-page
+writer or batched ``executemany`` over bounded slices of its columns, so
+the tuples land on disk without ever materialising as dicts; reading back
+is symmetric — :meth:`TupleStore.iter_chunks` turns cursor pages back into
+``Dataset`` chunks for the NumPy inference path, and
 :meth:`TupleStore.iter_rows` yields per-record dicts for anything
-record-oriented.
+record-oriented.  Label-carrying record mappings (a JSONL or CSV export)
+load through :meth:`TupleStore.load_records`.
 
 Row order is insertion order throughout (every read is ``ORDER BY rowid``),
 which is what makes label arrays produced inside the database comparable
@@ -30,8 +31,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.data.columnar import ColumnarDataset, columnar_from_records, storage_dtype
-from repro.data.dataset import Dataset, Record
+from repro.data.dataset import Dataset, Record, storage_dtype
 from repro.data.schema import Schema
 from repro.db.dialect import SQLITE, SqlDialect
 from repro.db.fastload import (
@@ -58,27 +58,15 @@ DEFAULT_BATCH_SIZE = 50_000
 DEFAULT_FETCH_SIZE = 50_000
 
 
-def dataset_rows(data: Dataset, include_label: bool = True) -> Iterator[Tuple]:
-    """Driver-ready insertion rows of a dataset, in order.
+def dataset_rows(data: Dataset) -> Iterator[Tuple]:
+    """``executemany``-ready insertion rows of a dataset, label last, in order.
 
-    Columnar datasets convert through ``tolist()`` (Python scalars — NumPy
-    types would otherwise leak into the driver) and zip the column lists
-    directly, never materialising (or caching) per-record dicts;
-    record-backed datasets zip their existing dicts.  ``include_label=False``
-    yields attribute-only rows (the predictor's unlabelled staging tables).
+    Columns convert through ``tolist()`` (Python scalars — sqlite3 rejects
+    NumPy integer scalars) and are zipped directly, never materialising (or
+    caching) per-record dicts.
     """
-    names = data.schema.attribute_names
-    if isinstance(data, ColumnarDataset):
-        lists = [data.column(name).tolist() for name in names]
-        if include_label:
-            return iter(zip(*lists, data.label_array().tolist()))
-        return iter(zip(*lists))
-    if include_label:
-        return (
-            tuple(record[name] for name in names) + (label,)
-            for record, label in zip(data.records, data.labels)
-        )
-    return (tuple(record[name] for name in names) for record in data.records)
+    lists = [data.column(name).tolist() for name in data.schema.attribute_names]
+    return iter(zip(*lists, data.label_array().tolist()))
 
 
 def insert_in_batches(
@@ -259,9 +247,8 @@ class TupleStore:
     ) -> int:
         """Bulk-load a dataset — or a stream of them — and return the count.
 
-        Accepts a :class:`~repro.data.columnar.ColumnarDataset` or a
-        record-backed :class:`~repro.data.dataset.Dataset`, or any iterable
-        of them (e.g. ``AgrawalGenerator.iter_chunks(...)``).
+        Accepts a :class:`~repro.data.dataset.Dataset` or any iterable of
+        them (e.g. ``AgrawalGenerator.iter_chunks(...)``).
 
         ``method`` selects the write path:
 
@@ -276,8 +263,8 @@ class TupleStore:
           from :meth:`create`) are re-created afterwards from their recorded
           DDL.  Raises :class:`~repro.db.fastload.RawLoadUnsupported` when
           the shape is out of scope.
-        * ``"auto"`` (default) — ``"raw"`` when the input is columnar and
-          the store qualifies, ``"rows"`` otherwise; shapes the raw lane
+        * ``"auto"`` (default) — ``"raw"`` when the store qualifies,
+          ``"rows"`` otherwise; shapes the raw lane
           rejects late (e.g. a load crossing the 1GiB lock-byte page) fall
           back to ``"rows"`` transparently.
         """
@@ -298,11 +285,7 @@ class TupleStore:
                 self._require_table()
             return 0
         chunks = itertools.chain((first,), stream)
-        raw = method == "raw" or (
-            method == "auto"
-            and isinstance(first, ColumnarDataset)
-            and self._raw_eligible()
-        )
+        raw = method == "raw" or (method == "auto" and self._raw_eligible())
         # The span drives the whole consume-and-write loop, so with a lazy
         # input stream it is wall attribution of the store stage (upstream
         # production nests inside it as its own spans).
@@ -396,24 +379,24 @@ class TupleStore:
         writer = RawSqliteWriter(
             self.path, self.schema, self.table, self.class_column, self.dialect
         )
-        staged: List[ColumnarDataset] = []
-        try:
-            for chunk in chunks:
-                if not isinstance(chunk, Dataset):
-                    raise DatabaseError(
-                        "load() expects a Dataset or an iterable of them, got "
-                        f"a chunk of type {type(chunk).__name__}"
-                    )
-                if not isinstance(chunk, ColumnarDataset):
-                    chunk = columnar_from_records(
-                        chunk.schema, chunk.records, chunk.labels, validate=False
-                    )
+        staged: List[Dataset] = []
+        chunks = iter(chunks)
+        for chunk in chunks:
+            if not isinstance(chunk, Dataset):
+                raise DatabaseError(
+                    "load() expects a Dataset or an iterable of them, got "
+                    f"a chunk of type {type(chunk).__name__}"
+                )
+            try:
                 writer.append(chunk)
-                staged.append(chunk)
-        except RawLoadUnsupported:
-            if not fallback:
-                raise
-            return self._load_rows(staged, batch_size)
+            except RawLoadUnsupported:
+                if not fallback:
+                    raise
+                # The refused chunk and the rest of the stream load too.
+                return self._load_rows(
+                    itertools.chain(staged, (chunk,), chunks), batch_size
+                )
+            staged.append(chunk)
         with self.lock:
             try:
                 index_ddls = [
@@ -585,12 +568,12 @@ class TupleStore:
 
     def iter_chunks(
         self, chunk_size: int = DEFAULT_FETCH_SIZE
-    ) -> Iterator[ColumnarDataset]:
+    ) -> Iterator[Dataset]:
         """Stream the relation back out as bounded columnar chunks.
 
         The inverse of :meth:`load`: each page becomes a
-        :class:`ColumnarDataset` (column dtypes from
-        :func:`~repro.data.columnar.storage_dtype`, the rule the DDL shares;
+        :class:`~repro.data.dataset.Dataset` (column dtypes from
+        :func:`~repro.data.dataset.storage_dtype`, the rule the DDL shares;
         ``validate=False`` — the data was validated on the way in), so the
         NumPy inference path can classify straight off the store without
         per-record dicts.  A stored label outside the schema's classes
@@ -610,5 +593,5 @@ class TupleStore:
                 for i, name in enumerate(names)
             }
             labels = np.asarray(transposed[-1], dtype=object)
-            yield ColumnarDataset(self.schema, columns, labels, validate=False)
+            yield Dataset(self.schema, columns, labels, validate=False)
 

@@ -28,14 +28,13 @@ concrete extractor only implements :meth:`BaseExtractor._extract_ruleset`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.data.dataset import Dataset
 from repro.exceptions import ExtractionError
-from repro.metrics.classification import majority_label
 from repro.nn.network import ThreeLayerNetwork
 from repro.preprocessing.encoder import TupleEncoder
 from repro.rules.ruleset import RuleSet
@@ -226,11 +225,3 @@ class BaseExtractor:
         if ruleset.rules and ruleset.is_binary:
             return ruleset.predict_batch(encoded, encoder=encoder)
         return ruleset.predict_batch(dataset)
-
-    @staticmethod
-    def default_class_of(
-        network_labels: np.ndarray, class_labels: Sequence[str]
-    ) -> str:
-        """The shared default-class rule: majority oracle label, ties broken
-        by class order (see :func:`repro.metrics.classification.majority_label`)."""
-        return majority_label(network_labels, class_labels)

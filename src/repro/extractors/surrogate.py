@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.baselines.c45.rules import C45Rules, C45RulesConfig
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, codes_from_labels
 from repro.extractors.base import BaseExtractor
 from repro.extractors.registry import register_extractor
 from repro.nn.network import ThreeLayerNetwork
@@ -49,14 +49,10 @@ class C45SurrogateExtractor(BaseExtractor):
         class_labels: List[str],
         encoder: Optional[TupleEncoder],
     ) -> Tuple[RuleSet, Optional[object]]:
-        # The oracle dataset: same records and schema, the network's labels.
-        # Records were validated when `dataset` was built and the labels come
-        # from `schema.classes`, so re-validation is skipped.
-        oracle = Dataset(
-            schema=dataset.schema,
-            records=dataset.records,
-            labels=network_labels.tolist(),
-            validate=False,
+        # The oracle dataset: the same columns (and record dicts, if built),
+        # labelled with the network's predictions.
+        oracle = dataset.with_label_codes(
+            codes_from_labels(network_labels, class_labels), class_labels
         )
         surrogate = C45Rules(self.config).fit(oracle)
         ruleset = surrogate.ruleset

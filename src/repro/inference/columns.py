@@ -9,11 +9,11 @@ float/int-coded categories, domain coding) live in exactly one place.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.data.dataset import Record
+from repro.data.dataset import Dataset, Record
 from repro.exceptions import RuleError, SchemaError
 from repro.preprocessing.features import domain_positions_array
 
@@ -24,7 +24,8 @@ class ColumnCache:
     Parameters
     ----------
     records:
-        The batch.
+        The batch: a :class:`~repro.data.dataset.Dataset`, whose stored
+        columns are read directly, or a sequence of record mappings.
     missing:
         ``"error"`` raises :class:`RuleError` when a record lacks a requested
         attribute (mirroring per-record condition evaluation); ``"none"``
@@ -33,19 +34,17 @@ class ColumnCache:
         class).
     """
 
-    def __init__(self, records: Sequence[Record], missing: str = "error") -> None:
+    def __init__(
+        self, records: Union[Dataset, Sequence[Record]], missing: str = "error"
+    ) -> None:
         if missing not in ("error", "none"):
             raise ValueError(f"missing policy must be 'error' or 'none', got {missing!r}")
         self.records = records
         self._missing = missing
-        # A columnar source (ColumnarDataset exposes column_values) supplies
-        # whole columns directly, so no per-record dict is ever iterated;
-        # its raw arrays (via .column) feed the numeric paths zero-copy.
-        self._column_source = (
-            getattr(records, "column_values", None) if missing == "error" else None
-        )
-        self._array_source = (
-            getattr(records, "column", None) if missing == "error" else None
+        # A dataset supplies whole columns directly, so no per-record dict
+        # is ever iterated; its raw arrays feed the numeric paths zero-copy.
+        self._dataset: Optional[Dataset] = (
+            records if isinstance(records, Dataset) and missing == "error" else None
         )
         self._lists: Dict[str, list] = {}
         self._raw: Dict[str, np.ndarray] = {}
@@ -60,10 +59,10 @@ class ColumnCache:
         """The attribute's values as a plain list (fastest to build/iterate)."""
         cached = self._lists.get(attribute)
         if cached is None:
-            if self._column_source is not None:
+            if self._dataset is not None:
                 try:
-                    cached = self._column_source(attribute)
-                except (KeyError, SchemaError):
+                    cached = self._dataset.column_values(attribute)
+                except SchemaError:
                     raise RuleError(
                         f"record is missing attribute {attribute!r}"
                     ) from None
@@ -90,19 +89,19 @@ class ColumnCache:
         return cached
 
     def _source_array(self, attribute: str) -> Optional[np.ndarray]:
-        """The column as a numeric ndarray straight from a columnar source.
+        """The column as a numeric ndarray straight from the dataset.
 
-        Returns ``None`` when there is no columnar source or the stored
+        Returns ``None`` when the batch is not a dataset or the stored
         column is not numeric; raises :class:`RuleError` for a missing
         attribute, mirroring :meth:`values`.
         """
-        if self._array_source is None:
+        if self._dataset is None:
             return None
         try:
-            array = self._array_source(attribute)
-        except (KeyError, SchemaError):
+            array = self._dataset.column(attribute)
+        except SchemaError:
             raise RuleError(f"record is missing attribute {attribute!r}") from None
-        if isinstance(array, np.ndarray) and array.dtype.kind in "biuf":
+        if array.dtype.kind in "biuf":
             return array
         return None
 

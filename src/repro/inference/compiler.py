@@ -220,8 +220,8 @@ class CompiledAttributeRuleSet:
         """Boolean ``(n, n_rules)`` matrix of independent rule coverage.
 
         ``records`` is a sequence of record mappings or a
-        :class:`~repro.data.dataset.Dataset`; columnar datasets feed their
-        column arrays straight into the cache without materialising dicts.
+        :class:`~repro.data.dataset.Dataset`; datasets feed their column
+        arrays straight into the cache without materialising dicts.
 
         Columnar evaluation is *strict*: every record must carry (with a
         usable value) every attribute referenced by any rule, because whole

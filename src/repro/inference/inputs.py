@@ -41,16 +41,16 @@ class BatchInput:
     n: int
     records: Optional[List[Record]] = None
     matrix: Optional[np.ndarray] = None
-    #: The dataset the caller passed; columnar ones expose ``.records``
-    #: lazily and encode columnar through ``transform_matrix``.
+    #: The dataset the caller passed: it builds ``.records`` lazily and
+    #: encodes from its columns through ``transform_matrix``.
     dataset: Optional[Dataset] = None
 
     def require_records(self, context: str) -> List[Record]:
         if self.records is None:
             if self.dataset is not None:
                 # Materialised lazily so that dataset inputs that only ever
-                # need the encoded matrix (columnar datasets on the binary
-                # path) never build per-record dicts.
+                # need the encoded matrix (the binary-rule and network paths)
+                # never build per-record dicts.
                 self.records = self.dataset.records
                 return self.records
             raise ReproError(
@@ -92,9 +92,8 @@ def normalize_batch_input(data, encoder: Optional["TupleEncoder"] = None) -> Bat
 
     Accepted forms:
 
-    * :class:`Dataset` (including a
-      :class:`~repro.data.columnar.ColumnarDataset` chunk) — records (and,
-      with an ``encoder``, a matrix on demand);
+    * :class:`Dataset` (a whole dataset or a chunk of a stream) — records
+      (and, with an ``encoder``, a matrix on demand);
     * 2-D :class:`numpy.ndarray` — an encoded matrix;
     * iterable of mappings — records (generators are materialised);
     * iterable of 1-D numeric vectors — stacked into an encoded matrix;
@@ -104,7 +103,7 @@ def normalize_batch_input(data, encoder: Optional["TupleEncoder"] = None) -> Bat
     """
     if isinstance(data, Dataset):
         # records stays None here; require_records materialises it on demand
-        # (for columnar datasets the common paths never need it).
+        # (the common paths never need it).
         return BatchInput(n=len(data), dataset=data)
     if isinstance(data, np.ndarray):
         matrix = _matrix_from_array(data)

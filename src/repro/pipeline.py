@@ -2,12 +2,12 @@
 """The chunk-fabric pipeline: generate → classify → store on one machine.
 
 :func:`run_pipeline` wires the three data-plane stages of the reproduction
-together over one type, :class:`~repro.data.columnar.ColumnarDataset` —
-the same type training consumes — with zero-copy hand-offs at every
-boundary:
+together over the library's one dataset type,
+:class:`~repro.data.dataset.Dataset` — the type training consumes too —
+with zero-copy hand-offs at every boundary:
 
 * **generate** — :meth:`AgrawalGenerator.iter_chunks
-  <repro.data.agrawal.AgrawalGenerator.iter_chunks>` emits columnar chunks
+  <repro.data.agrawal.AgrawalGenerator.iter_chunks>` emits dataset chunks
   (optionally from an N-process fan-out pool writing columns into shared
   memory);
 * **classify** — :meth:`PredictionService.predict_chunks
@@ -44,7 +44,7 @@ from typing import Dict, Iterable, Iterator, Optional
 
 from repro import obs
 from repro.data.agrawal import AgrawalGenerator
-from repro.data.columnar import ColumnarDataset
+from repro.data.dataset import Dataset
 from repro.db.store import TupleStore
 from repro.exceptions import ReproError
 from repro.serving.models import KIND_RULES, ServableModel
@@ -113,7 +113,7 @@ class _StageTimer:
         self.seconds = 0.0
         self.span_name = span_name
 
-    def wrap(self, chunks: Iterable[ColumnarDataset]) -> Iterator[ColumnarDataset]:
+    def wrap(self, chunks: Iterable[Dataset]) -> Iterator[Dataset]:
         iterator = iter(chunks)
         index = 0
         while True:

@@ -4,9 +4,13 @@
 (:class:`~repro.preprocessing.thermometer.ThermometerEncoder`,
 :class:`~repro.preprocessing.thermometer.OrdinalThermometerEncoder`,
 :class:`~repro.preprocessing.onehot.OneHotEncoder`) into a single mapping
-from records to fixed-width 0/1 vectors, and keeps the
+from tuples to fixed-width 0/1 vectors, and keeps the
 :class:`~repro.preprocessing.features.InputFeature` descriptors needed to
-translate extracted rules back to attribute conditions.
+translate extracted rules back to attribute conditions.  A batch is encoded
+column by column (:meth:`TupleEncoder.transform_matrix`): a
+:class:`~repro.data.dataset.Dataset` hands over its stored column arrays,
+so no per-record dict is built, and a plain list of record mappings is
+read one attribute at a time.
 
 Two constructors matter in practice:
 
@@ -24,7 +28,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.data.agrawal import agrawal_schema
-from repro.data.columnar import ColumnarDataset
 from repro.data.dataset import Dataset, Record
 from repro.data.schema import (
     CategoricalAttribute,
@@ -97,45 +100,36 @@ class TupleEncoder:
         """Vectorised encoding of a whole batch into an ``(n, n_inputs)`` matrix.
 
         This is the single batch entry point of the inference pipeline: it
-        accepts a :class:`~repro.data.dataset.Dataset` (columnar ones encode
-        straight from their column arrays) or a plain sequence of records
-        and encodes column by column using the cached column layout
-        (``group_slice`` per attribute plus each per-attribute encoder's
-        precomputed threshold/position tables), never touching records one at
-        a time.
+        accepts a :class:`~repro.data.dataset.Dataset`, whose stored column
+        arrays feed the per-attribute encoders directly, or a plain sequence
+        of records, and encodes column by column using the cached column
+        layout (``group_slice`` per attribute plus each per-attribute
+        encoder's precomputed threshold/position tables), never touching
+        records one at a time.
         """
-        if isinstance(data, Dataset):
-            if data.schema.attribute_names != self.schema.attribute_names:
-                raise EncodingError(
-                    "dataset schema does not match the encoder schema: "
-                    f"{data.schema.attribute_names} vs {self.schema.attribute_names}"
-                )
-            if isinstance(data, ColumnarDataset):
-                # Columnar fast path: feed the stored column arrays straight
-                # to the per-attribute encoders; no per-record dict is ever
-                # built for the encode.
-                out = np.zeros((len(data), self.n_inputs), dtype=float)
-                if not len(data):
-                    return out
-                for attribute in self.schema.attributes:
-                    encoder = self.encoders[attribute.name]
-                    out[:, self._group_slices[attribute.name]] = encoder.encode_column(
-                        data.column(attribute.name)
-                    )
-                return out
-            records: Sequence[Record] = data.records
-        else:
-            records = data
-        out = np.zeros((len(records), self.n_inputs), dtype=float)
-        if not len(records):
+        if isinstance(data, Dataset) and (
+            data.schema.attribute_names != self.schema.attribute_names
+        ):
+            raise EncodingError(
+                "dataset schema does not match the encoder schema: "
+                f"{data.schema.attribute_names} vs {self.schema.attribute_names}"
+            )
+        out = np.zeros((len(data), self.n_inputs), dtype=float)
+        if not len(data):
             return out
         for attribute in self.schema.attributes:
-            encoder = self.encoders[attribute.name]
-            try:
-                column = [r[attribute.name] for r in records]
-            except KeyError as exc:
-                raise EncodingError(f"record missing attribute {attribute.name!r}") from exc
-            out[:, self._group_slices[attribute.name]] = encoder.encode_column(column)
+            if isinstance(data, Dataset):
+                column = data.column(attribute.name)
+            else:
+                try:
+                    column = [r[attribute.name] for r in data]
+                except KeyError as exc:
+                    raise EncodingError(
+                        f"record missing attribute {attribute.name!r}"
+                    ) from exc
+            out[:, self._group_slices[attribute.name]] = self.encoders[
+                attribute.name
+            ].encode_column(column)
         return out
 
     def encode_dataset(self, dataset: Dataset) -> np.ndarray:

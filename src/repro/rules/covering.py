@@ -84,17 +84,6 @@ class DiscreteTable:
             raise RuleError(f"unknown column {name!r}; known: {self.columns}") from exc
 
 
-def conjunction_covers(
-    conjunction: Conjunction, columns: Sequence[str], row: Sequence[Value]
-) -> bool:
-    """True when ``row`` satisfies every ``column = value`` literal."""
-    column_list = list(columns)
-    for name, value in conjunction.items():
-        if row[column_list.index(name)] != value:
-            return False
-    return True
-
-
 def _covers(conjunction: Conjunction, column_index: Dict[str, int], row: Tuple[Value, ...]) -> bool:
     return all(row[column_index[name]] == value for name, value in conjunction.items())
 

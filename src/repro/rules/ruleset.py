@@ -194,8 +194,7 @@ class RuleSet(Generic[RuleType]):
         if compiled.kind == "binary":
             return compiled.predict_batch(batch.require_matrix(context, encoder=encoder))
         if batch.dataset is not None:
-            # Columnar datasets evaluate straight off their column arrays;
-            # record-backed datasets go through the same ColumnCache either way.
+            # Datasets evaluate straight off their column arrays.
             return compiled.predict_batch(batch.dataset)
         return compiled.predict_batch(batch.require_records(context))
 

@@ -41,17 +41,6 @@ from repro.rules.ruleset import RuleSet
 # SQL rendering
 # ---------------------------------------------------------------------------
 
-def _sql_literal(value: object, dialect: SqlDialect = DEFAULT_DIALECT) -> str:
-    """Render a Python value as a SQL literal in ``dialect``.
-
-    Kept as a thin wrapper over :meth:`SqlDialect.literal` for callers that
-    imported it before the dialect layer existed; booleans are rendered
-    per-dialect (``TRUE`` under ANSI/PostgreSQL, ``1`` under SQLite) instead
-    of the previously hardcoded keywords.
-    """
-    return dialect.literal(value)
-
-
 def condition_to_sql(
     condition: AttributeCondition, dialect: SqlDialect = DEFAULT_DIALECT
 ) -> str:

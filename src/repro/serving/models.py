@@ -23,8 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.columnar import ColumnarDataset
-from repro.data.dataset import Record
+from repro.data.dataset import Dataset, Record
 from repro.exceptions import ServingError
 from repro.inference.predictor import indices_from_labels
 from repro.preprocessing.encoder import TupleEncoder
@@ -103,15 +102,17 @@ class ServableModel:
             return ruleset.predict_batch(list(records), encoder=self.encoder)
         return self.predictor.predict_batch(list(records))
 
-    def predict_codes(self, chunk: ColumnarDataset) -> Tuple[np.ndarray, Tuple[str, ...]]:
-        """Class-*index* predictions for a columnar chunk.
+    def predict_codes(self, chunk: Dataset) -> Tuple[np.ndarray, Tuple[str, ...]]:
+        """Class-*index* predictions for a dataset chunk.
 
         The chunk-fabric hot path: labels stay an ``int64`` code array
         indexing the returned class tuple — no per-record dicts and no label
         strings are materialised for compiled rule sets (attribute rules
         evaluate on the chunk's columns directly, binary rules on its encoded
-        matrix).  Predictors without an index path fall back to
-        :meth:`predict_batch` and one vectorised label→code conversion.
+        matrix).  Other predictors get the chunk itself, so one that reads
+        columns (a network encodes them, the SQL backend stages them) builds
+        no dicts either; their labels go through one vectorised label→code
+        conversion.
         """
         if isinstance(self.predictor, RuleSet):
             ruleset = self.predictor
@@ -130,7 +131,9 @@ class ServableModel:
                 matrix = self.encoder.transform_matrix(chunk)
                 return compiled.predict_indices(matrix), tuple(compiled.classes)
             return compiled.predict_indices(chunk), tuple(compiled.classes)
-        labels = self.predict_batch(chunk.records)
+        # Not self.predict_batch: its list() would turn the dataset into
+        # (record, label) pairs.
+        labels = self.predictor.predict_batch(chunk)
         classes = self.classes or tuple(chunk.classes)
         return indices_from_labels(labels, classes), tuple(classes)
 

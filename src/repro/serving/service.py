@@ -37,7 +37,6 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tu
 import numpy as np
 
 from repro import obs
-from repro.data.columnar import ColumnarDataset
 from repro.data.dataset import Dataset, Record
 from repro.exceptions import ServingError
 from repro.obs.clock import monotonic
@@ -290,9 +289,9 @@ class PredictionService:
     # -- chunk fabric ---------------------------------------------------------
 
     def submit_chunk(
-        self, model_name: str, chunk: ColumnarDataset
+        self, model_name: str, chunk: Dataset
     ) -> "Future[Tuple[np.ndarray, Tuple[str, ...]]]":
-        """Queue one columnar chunk; resolves to ``(label_codes, classes)``.
+        """Queue one dataset chunk; resolves to ``(label_codes, classes)``.
 
         A chunk is already a batch, so it bypasses the micro-batcher
         entirely and is dispatched to the pool as one
@@ -313,9 +312,9 @@ class PredictionService:
     def predict_chunks(
         self,
         model_name: str,
-        chunks: Iterable[ColumnarDataset],
+        chunks: Iterable[Dataset],
         window: Optional[int] = None,
-    ) -> Iterator[ColumnarDataset]:
+    ) -> Iterator[Dataset]:
         """Classify a chunk stream, yielding re-labelled chunks in order.
 
         The chunk-fabric counterpart of :meth:`predict_stream_batches`: each
@@ -330,7 +329,7 @@ class PredictionService:
         if window < 1:
             raise ServingError(f"chunk window must be >= 1, got {window}")
         in_flight: Deque[
-            Tuple[ColumnarDataset, "Future[Tuple[np.ndarray, Tuple[str, ...]]]"]
+            Tuple[Dataset, "Future[Tuple[np.ndarray, Tuple[str, ...]]]"]
         ] = deque()
         for chunk in chunks:
             in_flight.append((chunk, self.submit_chunk(model_name, chunk)))
@@ -347,7 +346,7 @@ class PredictionService:
         self,
         model_name: str,
         model: ServableModel,
-        chunk: ColumnarDataset,
+        chunk: Dataset,
         future: "Future[Tuple[np.ndarray, Tuple[str, ...]]]",
     ) -> None:
         with obs.trace("serve.chunk", model=model_name, rows=len(chunk)) as span:
@@ -370,7 +369,7 @@ class PredictionService:
             future.set_result((codes, classes))
 
     def _stream_chunk_labels(
-        self, model_name: str, chunks: Iterable[ColumnarDataset], window: Optional[int]
+        self, model_name: str, chunks: Iterable[Dataset], window: Optional[int]
     ) -> Iterator[np.ndarray]:
         """Label arrays for a chunk stream (strings materialised per batch)."""
         for labelled in self.predict_chunks(model_name, chunks, window=window):
@@ -379,19 +378,19 @@ class PredictionService:
     def predict_stream_batches(
         self,
         model_name: str,
-        records: Union[Iterable[Record], Iterable[ColumnarDataset], Dataset],
+        records: Union[Iterable[Record], Iterable[Dataset], Dataset],
         window: Optional[int] = None,
         chunk_size: Optional[int] = None,
     ) -> Iterator[np.ndarray]:
         """Classify a record stream, yielding label arrays in submission order.
 
-        Columnar inputs — a :class:`~repro.data.columnar.ColumnarDataset` or
-        an iterable of them — are routed through the chunk fabric
-        (:meth:`predict_chunks`): no per-record dicts are built, labels
-        travel as index arrays, and each yielded array covers one chunk.
-        ``window`` then counts in-flight *chunks* (default ``workers + 2``).
+        Datasets — a :class:`~repro.data.dataset.Dataset` or an iterable of
+        them — are routed through the chunk fabric (:meth:`predict_chunks`):
+        no per-record dicts are built, labels travel as index arrays, and
+        each yielded array covers one chunk.  ``window`` then counts
+        in-flight *chunks* (default ``workers + 2``).
 
-        True record streams take the micro-batching path: the input iterator
+        Record streams take the micro-batching path: the input iterator
         is pulled ``chunk_size`` records at a time into :meth:`submit_many`,
         and at most ``window`` records (default
         ``config.effective_stream_window``) are in flight at once — so a
@@ -401,28 +400,25 @@ class PredictionService:
         records; concatenated, the arrays reproduce the input order exactly,
         regardless of how the thread pool interleaves batch completions.
         """
-        if isinstance(records, ColumnarDataset):
+        if isinstance(records, Dataset):
             return self._stream_chunk_labels(model_name, (records,), window)
-        if not isinstance(records, Dataset):
-            iterator = iter(records)
-            head = next(iterator, None)
-            if head is None:
-                return iter(())
-            records = chain((head,), iterator)
-            if isinstance(head, ColumnarDataset):
-                return self._stream_chunk_labels(model_name, records, window)
+        iterator = iter(records)
+        head = next(iterator, None)
+        if head is None:
+            return iter(())
+        records = chain((head,), iterator)
+        if isinstance(head, Dataset):
+            return self._stream_chunk_labels(model_name, records, window)
         return self._predict_stream_records(model_name, records, window, chunk_size)
 
     def _predict_stream_records(
         self,
         model_name: str,
-        records: Union[Iterable[Record], Dataset],
+        records: Iterable[Record],
         window: Optional[int] = None,
         chunk_size: Optional[int] = None,
     ) -> Iterator[np.ndarray]:
         """The micro-batching dict-record path of :meth:`predict_stream_batches`."""
-        if isinstance(records, Dataset):
-            records = records.records
         if window is None:
             window = self.config.effective_stream_window
         if window < 1:

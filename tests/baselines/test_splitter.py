@@ -26,7 +26,7 @@ def threshold_dataset():
         colour = "red" if rng.uniform() < 0.5 else "green"
         records.append({"income": income, "colour": colour})
         labels.append("yes" if income >= 50 else "no")
-    return Dataset(schema, records, labels)
+    return Dataset.from_records(schema, records, labels)
 
 
 class TestCandidateThresholds:

@@ -71,7 +71,7 @@ class TestBuildTree:
             {"c": "x", "v": 0.5}, {"c": "y", "v": 9.5},
         ]
         labels = ["A", "A", "B", "B", "A", "B", "A", "B"]
-        dataset = Dataset(schema, records, labels)
+        dataset = Dataset.from_records(schema, records, labels)
         tree = build_tree(dataset, TreeConfig(min_split_size=2, min_leaf_size=1))
         # "z" never occurs in training; prediction must still work.
         assert tree.predict({"c": "z", "v": 5.0}) in ("A", "B")

@@ -65,7 +65,7 @@ def small_dataset(small_schema: Schema) -> Dataset:
         {"income": 95.0, "age": 75, "grade": 3, "colour": "blue"},
     ]
     labels = ["yes" if r["income"] >= 50 else "no" for r in records]
-    return Dataset(small_schema, records, labels)
+    return Dataset.from_records(small_schema, records, labels)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.agrawal import AgrawalGenerator, DriftPoint
-from repro.data.columnar import ColumnarDataset
+from repro.data.dataset import Dataset
 from repro.data.functions import get_batch_function
 from repro.exceptions import DataGenerationError
 
@@ -48,7 +48,8 @@ class TestScalarColumnarEquivalence:
 
     def test_returns_columnar_dataset(self):
         dataset = AgrawalGenerator(function=1, seed=0).generate(10)
-        assert isinstance(dataset, ColumnarDataset)
+        assert isinstance(dataset, Dataset)
+        assert not dataset.records_materialized  # columns only, no dicts
 
 
 class TestDtypes:

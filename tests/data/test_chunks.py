@@ -14,7 +14,7 @@ from repro.data.chunks import (
     concat_chunks,
     release_shared_chunk,
 )
-from repro.data.columnar import ColumnarDataset
+from repro.data.dataset import Dataset
 from repro.data.schema import CategoricalAttribute, ContinuousAttribute, Schema
 from repro.exceptions import SchemaError
 
@@ -46,13 +46,13 @@ class TestConstruction:
         columns = dict(chunk.columns)
         del columns["salary"]
         with pytest.raises(SchemaError, match="missing"):
-            ColumnarDataset(schema, columns, chunk.label_codes)
+            Dataset(schema, columns, chunk.label_codes)
 
     def test_ragged_columns_rejected(self, schema, chunk):
         columns = dict(chunk.columns)
         columns["salary"] = columns["salary"][:-1]
         with pytest.raises(SchemaError, match="length"):
-            ColumnarDataset(schema, columns, chunk.label_codes)
+            Dataset(schema, columns, chunk.label_codes)
 
 
 class TestColumnarSurface:
@@ -95,7 +95,7 @@ class TestSlicing:
 class TestConcat:
     def test_concat_restores_pieces(self, chunk):
         merged = concat_chunks(pieces(chunk, 64))
-        assert isinstance(merged, ColumnarDataset)
+        assert isinstance(merged, Dataset)
         assert merged.labels == chunk.labels
         for name in chunk.schema.attribute_names:
             assert np.array_equal(merged.column(name), chunk.column(name))
@@ -122,7 +122,7 @@ class TestSharedMemoryTransport:
         meta = chunk_to_shared(chunk)
         restored = chunk_from_shared(schema, meta)
         try:
-            assert isinstance(restored, ColumnarDataset)
+            assert isinstance(restored, Dataset)
             for name in schema.attribute_names:
                 column = restored.column(name)
                 assert column.dtype == chunk.column(name).dtype
@@ -169,7 +169,7 @@ class TestSharedMemoryTransport:
         )
         column = np.empty(2, dtype=object)
         column[:] = ["x", "y"]
-        chunk = ColumnarDataset(schema, {"kind": column}, ["A", "B"])
+        chunk = Dataset(schema, {"kind": column}, ["A", "B"])
         with pytest.raises(SchemaError, match="shared memory"):
             chunk_to_shared(chunk)
 
@@ -183,7 +183,7 @@ class TestBooleanColumns:
             ],
             classes=("A", "B"),
         )
-        chunk = ColumnarDataset(
+        chunk = Dataset(
             schema,
             {
                 "x": np.array([1.0, 2.0]),

@@ -44,6 +44,15 @@ class TestCsvRoundTrip:
         with pytest.raises(DataGenerationError):
             load_csv(path, small_schema)
 
+    def test_fractional_integer_rejected(self, tmp_path, small_schema):
+        """Regression: ``age`` is integer-flagged, so 25.5 must not load."""
+        path = tmp_path / "fractional.csv"
+        path.write_text("income,age,grade,colour,class\n10,25.5,0,red,yes\n")
+        with pytest.raises(SchemaError, match="not an integer"):
+            load_csv(path, small_schema)
+        path.write_text("income,age,grade,colour,class\n10,25,0,red,yes\n")
+        assert load_csv(path, small_schema).column("age").tolist() == [25]
+
 
 class TestSchemaInference:
     def test_numeric_column_becomes_continuous(self):

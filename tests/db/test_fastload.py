@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.agrawal import AgrawalGenerator, agrawal_schema
-from repro.data.columnar import ColumnarDataset
+from repro.data.dataset import Dataset
 from repro.data.schema import CategoricalAttribute, ContinuousAttribute, Schema
 from repro.db.fastload import RawLoadUnsupported, RawSqliteWriter, schema_supports_raw
 from repro.db.store import TupleStore
@@ -82,6 +82,39 @@ class TestEligibility:
             assert store.load(data) == 800
             assert list(store.iter_rows())[0] == (data.records[0], data.labels[0])
         assert finished == [800]
+
+    def test_auto_takes_the_raw_lane_for_a_record_built_dataset(self, tmp_path, monkeypatch):
+        finished = []
+        finish = RawSqliteWriter.finish
+
+        def counting_finish(writer):
+            finished.append(len(writer))
+            return finish(writer)
+
+        monkeypatch.setattr(RawSqliteWriter, "finish", counting_finish)
+        generated = AgrawalGenerator(function=2, perturbation=0.05, seed=5).generate(300)
+        data = Dataset.from_records(agrawal_schema(), generated.records, generated.labels)
+        with TupleStore(agrawal_schema(), path=tmp_path / "t.db") as store:
+            store.create()
+            assert store.load(data) == 300
+            assert list(store.iter_rows()) == list(zip(generated.records, generated.labels))
+        assert finished == [300]
+
+    def test_auto_fallback_keeps_the_refused_chunk_and_the_rest(self, tmp_path):
+        """Regression: when the raw writer refused a chunk part-way through a
+        stream, only the chunks before it were loaded and the count said so."""
+        chunks = list(
+            AgrawalGenerator(function=2, seed=3).iter_chunks(300, chunk_size=100)
+        )
+        refused = chunks[1]
+        columns = dict(refused.columns)
+        columns["salary"] = np.asarray(columns["salary"], dtype=object)
+        chunks[1] = Dataset(refused.schema, columns, refused.label_codes, validate=False)
+        with TupleStore(agrawal_schema(), path=tmp_path / "t.db") as store:
+            store.create()
+            assert store.load(iter(chunks)) == 300
+            stored = [label for _, label in store.iter_rows()]
+        assert stored == [label for chunk in chunks for label in chunk.labels]
 
 
 class TestRawEqualsRows:
@@ -161,7 +194,7 @@ class TestWriterDirect:
         other = Schema(
             attributes=[ContinuousAttribute("x", 0.0, 1.0)], classes=("A", "B")
         )
-        chunk = ColumnarDataset(other, {"x": np.array([0.5])}, np.array([0]))
+        chunk = Dataset(other, {"x": np.array([0.5])}, np.array([0]))
         with pytest.raises(DatabaseError):
             writer.append(chunk)
 

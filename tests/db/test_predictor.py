@@ -13,6 +13,7 @@ import pytest
 
 from repro.data.agrawal import AgrawalGenerator, agrawal_schema
 from repro.data.dataset import Dataset
+from repro.data.schema import Schema
 from repro.db.predictor import SqlRulePredictor, classification_sql
 from repro.db.store import TupleStore
 from repro.exceptions import DatabaseError
@@ -116,9 +117,17 @@ class TestEquivalenceAllFunctions:
         with SqlRulePredictor(ruleset, schema=schema) as predictor:
             from_dataset = predictor.predict_batch(data)
             from_records = predictor.predict_batch(list(data.records))
-            from_record_dataset = predictor.predict_batch(data.to_dataset())
         assert from_dataset.tolist() == from_records.tolist()
-        assert from_dataset.tolist() == from_record_dataset.tolist()
+
+    def test_dataset_columns_staged_by_name(self, schema):
+        """Regression: a dataset whose schema lists the attributes in another
+        order was staged positionally, so values landed in the wrong
+        columns and the labels came out wrong without an error."""
+        data = generate(2, n=300, perturbation=0.0)
+        reordered = Schema(list(reversed(schema.attributes)), schema.classes)
+        same_tuples = Dataset(reordered, data.columns, data.label_codes)
+        with SqlRulePredictor(reference_ruleset(2), schema=schema) as predictor:
+            assert predictor.predict_batch(same_tuples).tolist() == data.labels
 
     def test_generator_chunks_are_batches(self, schema):
         """Regression: a chunk from ``iter_chunks`` was rejected as not

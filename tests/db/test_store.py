@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data.agrawal import AgrawalGenerator, agrawal_schema
-from repro.data.columnar import columnar_from_records
 from repro.data.dataset import Dataset
 from repro.data.schema import CategoricalAttribute, ContinuousAttribute, Schema
 from repro.db.store import TupleStore
@@ -79,11 +78,12 @@ class TestLoad:
         expected = list(zip(small_data.records, small_data.labels))
         assert streamed == expected
 
-    def test_record_backed_dataset_loads(self, store, small_data):
-        dataset = small_data.to_dataset()
-        assert isinstance(dataset, Dataset)
+    def test_record_built_dataset_loads(self, store, small_data):
+        dataset = Dataset.from_records(
+            small_data.schema, small_data.records, small_data.labels
+        )
         store.load(dataset)
-        assert store.count() == len(dataset)
+        assert list(store.iter_rows()) == list(zip(small_data.records, small_data.labels))
 
     def test_append_semantics(self, store, small_data):
         store.load(small_data)
@@ -95,7 +95,7 @@ class TestLoad:
             attributes=[ContinuousAttribute("x", 0.0, 1.0), CategoricalAttribute("y", (0, 1))],
             classes=("A", "B"),
         )
-        chunk = columnar_from_records(
+        chunk = Dataset.from_records(
             other, [{"x": 0.5, "y": 1}], ["A"]
         )
         with pytest.raises(DatabaseError, match="does not match"):
@@ -201,7 +201,7 @@ class TestBooleanRoundTrip:
             ],
             classes=("A", "B"),
         )
-        data = columnar_from_records(
+        data = Dataset.from_records(
             schema,
             [{"x": 1.0, "flag": True}, {"x": 9.0, "flag": False}],
             ["A", "B"],
@@ -227,7 +227,7 @@ class TestBooleanRoundTrip:
             classes=("A", "B"),
         )
         with pytest.raises(SchemaError, match="not in domain"):
-            columnar_from_records(schema, [{"flag": True}, {"flag": 2}], ["A", "B"])
+            Dataset.from_records(schema, [{"flag": True}, {"flag": 2}], ["A", "B"])
 
 
 class TestQualifiedTable:

@@ -24,7 +24,7 @@ def boolean_case(pruned_boolean_network):
 
 class TestValidation:
     def test_empty_dataset_rejected(self, boolean_case):
-        empty = Dataset(boolean_case["dataset"].schema, [], [])
+        empty = Dataset.from_records(boolean_case["dataset"].schema, [], [])
         with pytest.raises(ExtractionError, match="empty dataset"):
             create_extractor("covering").extract(
                 boolean_case["network"], empty, encoder=boolean_case["encoder"]

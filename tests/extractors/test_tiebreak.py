@@ -84,7 +84,7 @@ class TestC45DefaultClass:
         )
         records = [{"bit": i % 2} for i in range(6)]
         labels = [classes[0]] * 3 + [classes[1]] * 3
-        return Dataset(schema, records, labels)
+        return Dataset.from_records(schema, records, labels)
 
     @pytest.mark.parametrize("classes", [("yes", "no"), ("no", "yes")])
     def test_everything_covered_falls_back_to_shared_majority(self, classes):

@@ -220,7 +220,7 @@ class TestRuleSetBatchFacade:
             {"salary": 130_000.0, "elevel": 0},
             {"salary": 110_000.0, "elevel": 4},
         ]
-        dataset = Dataset(attribute_schema, records, ["A", "B", "B"])
+        dataset = Dataset.from_records(attribute_schema, records, ["A", "B", "B"])
         batch = attribute_ruleset.predict_batch(dataset)
         assert batch.tolist() == [attribute_ruleset.predict_record(r) for r in records]
         assert attribute_ruleset.accuracy(dataset) == 1.0
@@ -249,7 +249,7 @@ class TestRuleSetBatchFacade:
             {"salary": 60_000.0, "elevel": 3},
             {"salary": 130_000.0, "elevel": 0},
         ]
-        dataset = Dataset(attribute_schema, records, ["A", "B", "B"])
+        dataset = Dataset.from_records(attribute_schema, records, ["A", "B", "B"])
         stats = attribute_ruleset.rule_statistics(dataset)
         assert [s.total for s in stats] == [2, 1]
         assert [s.correct for s in stats] == [1, 1]

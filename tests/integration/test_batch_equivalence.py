@@ -48,7 +48,7 @@ def random_schema_and_dataset(rng: np.random.Generator, n: int = 300):
     labels = [
         "A" if (r["x1"] > 50) != (r["colour"] == "red") else "B" for r in records
     ]
-    return schema, Dataset(schema, records, labels)
+    return schema, Dataset.from_records(schema, records, labels)
 
 
 def random_binary_ruleset(rng: np.random.Generator, n_inputs: int, n_rules: int) -> RuleSet:
@@ -124,7 +124,7 @@ class TestTreeEquivalence:
         )
         records = [{"colour": "red"}] * 5 + [{"colour": "green"}] * 5
         labels = ["A"] * 5 + ["B"] * 5
-        model = C45Classifier().fit(Dataset(schema, records, labels))
+        model = C45Classifier().fit(Dataset.from_records(schema, records, labels))
         probe = [{"colour": "blue"}, {"colour": "red"}]
         assert model.predict_batch(probe).tolist() == [
             model.predict_record(r) for r in probe

@@ -1,6 +1,6 @@
 """Tests of the serving layer's chunk fabric: codes end-to-end, routed streams.
 
-A chunk is a :class:`~repro.data.columnar.ColumnarDataset`; the streams here
+A chunk is a :class:`~repro.data.dataset.Dataset`; the streams here
 are zero-copy ``subset`` windows of one generated dataset.
 """
 
@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from repro.data.agrawal import AgrawalGenerator
+from repro.db.predictor import SqlRulePredictor
 from repro.exceptions import ServingError
+from repro.inference.network import NetworkBatchPredictor
+from repro.nn.network import new_network
 from repro.preprocessing.encoder import agrawal_encoder
 from repro.rules.ruleset import RuleSet
 from repro.serving.models import KIND_RULES, ServableModel
@@ -88,6 +91,27 @@ class TestPredictCodes:
         codes, classes = model.predict_codes(data)
         assert codes.tolist() == [classes.index("A")] * len(data)
 
+    @pytest.mark.parametrize("backend", ["network", "sql"])
+    def test_other_predictors_get_the_chunk_itself(self, backend):
+        """Regression: predict_codes handed a non-rule predictor the chunk's
+        records, so every chunk built one dict per tuple."""
+        chunk = AgrawalGenerator(function=2, seed=4).generate(3_000)
+        if backend == "network":
+            encoder = agrawal_encoder()
+            network = new_network(encoder.n_inputs, 3, 2, seed=0)
+            predictor = NetworkBatchPredictor(network, ("A", "B"), encoder=encoder)
+        else:
+            predictor = SqlRulePredictor(reference_ruleset(2), schema=chunk.schema)
+        try:
+            model = ServableModel(name=backend, kind=backend, predictor=predictor)
+            codes, classes = model.predict_codes(chunk)
+            assert not chunk.records_materialized
+            labels = np.array(list(classes), dtype=object)[codes]
+            assert labels.tolist() == predictor.predict_batch(chunk.records).tolist()
+        finally:
+            if backend == "sql":
+                predictor.close()
+
 
 class TestPredictChunks:
     def test_yields_labelled_chunks_in_order(self, service, data):
@@ -137,7 +161,7 @@ class TestPredictChunks:
 
 
 class TestStreamRouting:
-    """predict_stream_batches routes columnar inputs through the chunk path."""
+    """predict_stream_batches routes datasets through the chunk path."""
 
     def test_single_chunk(self, service, data):
         arrays = list(service.predict_stream_batches("f1", data))
