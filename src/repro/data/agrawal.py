@@ -493,6 +493,9 @@ class AgrawalGenerator:
             generated.inc(count)
             index += 1
             yield chunk
+            # Held through the next chunk's sampling, these would keep one
+            # more chunk's columns alive.
+            del clean, chunk
             position = end
             while pending and pending[0].at <= position:
                 point = pending.pop(0)

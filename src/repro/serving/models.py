@@ -9,8 +9,8 @@ baseline implementing the :class:`~repro.inference.predictor.BatchPredictor`
 protocol — to two calls:
 
 * :meth:`ServableModel.predict_batch` — classify a batch of *records*
-  (attribute mappings) in one vectorised pass; this is the hot path the
-  micro-batcher dispatches to.
+  (attribute mappings), or a whole dataset, in one vectorised pass; this is
+  the hot path the micro-batcher dispatches to.
 * :meth:`ServableModel.predict_record` — the naive per-record reference path,
   kept for latency-insensitive single lookups and as the baseline the serving
   benchmark measures against.
@@ -19,7 +19,7 @@ protocol — to two calls:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -87,8 +87,15 @@ class ServableModel:
 
     # -- prediction -----------------------------------------------------------
 
-    def predict_batch(self, records: Sequence[Record]) -> np.ndarray:
-        """Class labels for a batch of records (``object``-dtype array)."""
+    def predict_batch(self, records: Union[Dataset, Sequence[Record]]) -> np.ndarray:
+        """Class labels for a batch of records (``object``-dtype array).
+
+        A :class:`~repro.data.dataset.Dataset` is classified through
+        :meth:`predict_codes`, on its columns.
+        """
+        if isinstance(records, Dataset):
+            codes, classes = self.predict_codes(records)
+            return np.asarray(classes, dtype=object)[codes]
         if isinstance(self.predictor, RuleSet):
             ruleset = self.predictor
             if ruleset.rules and not ruleset.is_binary:

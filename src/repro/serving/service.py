@@ -337,6 +337,8 @@ class PredictionService:
                 done_chunk, future = in_flight.popleft()
                 codes, classes = future.result()
                 yield done_chunk.with_label_codes(codes, classes)
+                # Its columns live on in the consumer's chunk only.
+                del done_chunk, codes
         while in_flight:
             done_chunk, future = in_flight.popleft()
             codes, classes = future.result()
@@ -461,9 +463,12 @@ class PredictionService:
             for label in labels:
                 yield label
 
-    def predict_batch(self, model_name: str, records: List[Record]) -> np.ndarray:
-        """Classify an already-assembled batch synchronously (still recorded
-        in the model's statistics, but bypassing the micro-batcher)."""
+    def predict_batch(
+        self, model_name: str, records: Union[Dataset, List[Record]]
+    ) -> np.ndarray:
+        """Classify an already-assembled batch — records or a dataset —
+        synchronously (still recorded in the model's statistics, but
+        bypassing the micro-batcher)."""
         model = self.registry.get(model_name)
         with obs.trace("serve.batch", model=model_name, rows=len(records)) as span:
             try:

@@ -1,5 +1,7 @@
 """Tests of CSV loading/saving and schema inference."""
 
+import csv
+
 import pytest
 
 from repro.data.agrawal import AgrawalGenerator
@@ -29,6 +31,31 @@ class TestCsvRoundTrip:
         save_csv(dataset, path)
         restored = load_csv(path, dataset.schema)
         assert restored.labels == dataset.labels
+
+    @pytest.mark.parametrize("source", ["agrawal", "small"])
+    def test_save_builds_no_records_and_writes_the_same_bytes(
+        self, tmp_path, small_dataset, source
+    ):
+        """Regression: save_csv iterated the dataset, which built and cached
+        every record dict; the file must not change."""
+        if source == "agrawal":
+            dataset = AgrawalGenerator(function=2, seed=5).generate(2_000)
+            reference = AgrawalGenerator(function=2, seed=5).generate(2_000)
+        else:
+            dataset = reference = small_dataset
+        path = tmp_path / "saved.csv"
+        save_csv(dataset, path)
+        if source == "agrawal":
+            assert not dataset.records_materialized
+        expected = tmp_path / "expected.csv"
+        with expected.open("w", newline="") as handle:
+            writer = csv.DictWriter(
+                handle, fieldnames=reference.schema.attribute_names + ["class"]
+            )
+            writer.writeheader()
+            for record, label in zip(reference.records, reference.labels):
+                writer.writerow(dict(record, **{"class": label}))
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_class_column_collision_rejected(self, tmp_path, small_dataset):
         with pytest.raises(SchemaError):

@@ -188,3 +188,34 @@ class TestStreamRouting:
             list(service.predict_stream_batches("f1", iter(data.records)))
         )
         assert via_chunks.tolist() == via_records.tolist()
+
+
+class TestPredictBatchOnDatasets:
+    @pytest.mark.parametrize("backend", ["rules", "network", "sql"])
+    def test_dataset_classifies_like_its_records(self, backend):
+        """Regression: a dataset handed to predict_batch became a list of
+        (record, label) pairs and failed to classify."""
+        dataset = AgrawalGenerator(function=2, seed=5).generate(500)
+        ruleset = reference_ruleset(2)
+        if backend == "rules":
+            predictor = ruleset
+        elif backend == "network":
+            encoder = agrawal_encoder()
+            network = new_network(encoder.n_inputs, 3, 2, seed=0)
+            predictor = NetworkBatchPredictor(network, ("A", "B"), encoder=encoder)
+        else:
+            predictor = SqlRulePredictor(ruleset, schema=dataset.schema)
+        try:
+            registry = ModelRegistry()
+            registry.register(ServableModel(name="m", kind=backend, predictor=predictor))
+            with PredictionService(registry, ServiceConfig(workers=1)) as svc:
+                labels = svc.predict_batch("m", dataset)
+                assert svc.stats("m").records == len(dataset)
+            assert not dataset.records_materialized
+            reference = ruleset if backend != "network" else predictor
+            expected = reference.predict_batch(dataset.records)
+            assert labels.dtype == object
+            assert labels.tolist() == list(expected)
+        finally:
+            if backend == "sql":
+                predictor.close()
