@@ -520,11 +520,17 @@ class Dataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
+        # Column by column: comparing the record views would build (and
+        # cache) one dict per tuple on both sides.
         return (
             self.schema.attribute_names == other.schema.attribute_names
             and self.schema.classes == other.schema.classes
-            and self.labels == other.labels
-            and self.records == other.records
+            and self._n == other._n
+            and np.array_equal(self.label_array(), other.label_array())
+            and all(
+                np.array_equal(self._columns[name], other._columns[name])
+                for name in self.schema.attribute_names
+            )
         )
 
     __hash__ = None  # type: ignore[assignment]  # mutable caches, not hashable

@@ -46,7 +46,7 @@ from repro.data.dataset import Dataset
 from repro.data.schema import Schema
 from repro.exceptions import DataGenerationError
 
-__all__ = ["ChunkFanout", "fanout_chunks"]
+__all__ = ["ChunkFanout"]
 
 #: Jobs in flight beyond the worker count: enough to keep every worker busy
 #: while the parent consumes, small enough to bound shared-memory usage.
@@ -93,25 +93,15 @@ class ChunkFanout:
         into typed column arrays on the consumer side).
     processes:
         Worker process count (must be >= 1).
-    prefetch:
-        Extra jobs kept in flight beyond ``processes``.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        processes: int,
-        prefetch: int = _PREFETCH,
-    ) -> None:
+    def __init__(self, schema: Schema, processes: int) -> None:
         if processes < 1:
             raise DataGenerationError(
                 f"fan-out needs at least one process, got {processes}"
             )
-        if prefetch < 0:
-            raise DataGenerationError(f"prefetch must be >= 0, got {prefetch}")
         self.schema = schema
         self.processes = processes
-        self.prefetch = prefetch
 
     def imap(
         self,
@@ -120,13 +110,13 @@ class ChunkFanout:
     ) -> Iterator[Dataset]:
         """Yield ``producer(*args, **kwargs)`` chunks in job order.
 
-        At most ``processes + prefetch`` jobs are in flight at once; the
+        At most ``processes + 2`` jobs are in flight at once; the
         parent maps each finished segment lazily, right before yielding it,
         so unconsumed results stay as compact shared-memory descriptors.
         """
         if not jobs:
             return
-        window = self.processes + self.prefetch
+        window = self.processes + _PREFETCH
         capture = obs.tracing_enabled()
         # Detached (non-stacked) span: it brackets generator yields, so it
         # must not become the parent of consumer-side spans pulled between
@@ -175,14 +165,3 @@ class ChunkFanout:
                                 obs.adopt_spans(spans, parent_id=fanout_span.span_id)
                             release_shared_chunk(chunk_from_shared(self.schema, meta))
                 fanout_span.close()
-
-
-def fanout_chunks(
-    schema: Schema,
-    producer: Callable[..., Dataset],
-    jobs: Sequence[Tuple[Tuple[Any, ...], Dict[str, Any]]],
-    processes: int,
-    prefetch: int = _PREFETCH,
-) -> Iterator[Dataset]:
-    """One-call convenience wrapper around :meth:`ChunkFanout.imap`."""
-    return ChunkFanout(schema, processes, prefetch).imap(producer, jobs)

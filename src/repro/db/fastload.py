@@ -81,7 +81,6 @@ import numpy as np
 from repro import obs
 from repro.data.dataset import Dataset, storage_dtype
 from repro.data.schema import Schema
-from repro.db.dialect import SQLITE, SqlDialect
 from repro.db.schema import schema_ddl
 from repro.exceptions import DatabaseError
 
@@ -490,7 +489,6 @@ class RawSqliteWriter:
         schema: Schema,
         table: str = "tuples",
         class_column: str = "class",
-        dialect: SqlDialect = SQLITE,
     ) -> None:
         if str(path) == ":memory:":
             raise RawLoadUnsupported("raw load needs a file-backed store")
@@ -507,8 +505,7 @@ class RawSqliteWriter:
         self.schema = schema
         self.table = table
         self.class_column = class_column
-        self.dialect = dialect
-        self._ddl = schema_ddl(schema, table, class_column, dialect)
+        self._ddl = schema_ddl(schema, table, class_column)
         #: ``(name, sql)`` of the label index the target table carries.
         self._index = _read_label_index(self.path, table, class_column)
         # The catalogue rows must sit whole on page 1 (no overflow pages).

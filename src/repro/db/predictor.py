@@ -74,7 +74,7 @@ def classification_sql(
     return _select_labels(case, table, dialect)
 
 
-def _select_labels(case: str, table: str, dialect: SqlDialect) -> str:
+def _select_labels(case: str, table: str, dialect: SqlDialect = SQLITE) -> str:
     return (
         f"SELECT {case}\n"
         f"FROM {dialect.quote_qualified(table)}\n"
@@ -132,7 +132,6 @@ class SqlRulePredictor:
         self.schema = schema
         self.store = store
         self.batch_size = batch_size
-        self.dialect = store.dialect if store is not None else SQLITE
         self._own_connection: Optional[sqlite3.Connection] = None
         # The rendered CASE and the rule list it was rendered from.
         self._case_sql = ""
@@ -182,22 +181,20 @@ class SqlRulePredictor:
         rows, n = self._staging_rows(data)
         if n == 0:
             return np.empty(0, dtype=object)
-        staging_ddl = schema_ddl(
-            self.schema, STAGING_TABLE, class_column=None, dialect=self.dialect
-        ).replace("CREATE TABLE ", "CREATE TEMP TABLE ", 1)
-        insert = insert_sql(
-            self.schema, STAGING_TABLE, class_column=None, dialect=self.dialect
+        staging_ddl = schema_ddl(self.schema, STAGING_TABLE, class_column=None).replace(
+            "CREATE TABLE ", "CREATE TEMP TABLE ", 1
         )
+        insert = insert_sql(self.schema, STAGING_TABLE, class_column=None)
         with obs.trace("sql.classify", mode="staged", rows=n):
             with self._lock:
-                select = _select_labels(self._case(), STAGING_TABLE, self.dialect)
+                select = _select_labels(self._case(), STAGING_TABLE)
                 connection = self._connection()
                 try:
                     connection.execute(staging_ddl)
                     insert_in_batches(connection, insert, rows, self.batch_size)
                     labels = self._fetch_labels(connection, select, n)
                 finally:
-                    connection.execute(drop_table_ddl(STAGING_TABLE, self.dialect))
+                    connection.execute(drop_table_ddl(STAGING_TABLE))
         obs.counter("repro_sql_rows_total", "Rows classified by SQL pushdown").inc(n)
         return labels
 
@@ -221,7 +218,7 @@ class SqlRulePredictor:
         with obs.trace("sql.classify", mode="stored") as span:
             with self._lock:
                 store._require_table()
-                select = _select_labels(self._case(), store.table, self.dialect)
+                select = _select_labels(self._case(), store.table)
                 labels = self._fetch_labels(store.connection, select, store.count())
             span.set(rows=len(labels))
         obs.counter("repro_sql_rows_total", "Rows classified by SQL pushdown").inc(
@@ -252,8 +249,8 @@ class SqlRulePredictor:
         with self._lock:
             store._require_table()
             connection = store.connection
-            quoted = self.dialect.quote_qualified(table)
-            select = _select_labels(self._case(), store.table, self.dialect)
+            quoted = SQLITE.quote_qualified(table)
+            select = _select_labels(self._case(), store.table)
             # sqlite3 only opens implicit transactions for DML; DDL runs in
             # autocommit, so the drop+create needs an explicit scope to be
             # atomic (a failed CREATE must not leave the old label table
@@ -262,7 +259,7 @@ class SqlRulePredictor:
             connection.execute("SAVEPOINT repro_classify_into")
             try:
                 if drop:
-                    connection.execute(drop_table_ddl(table, self.dialect))
+                    connection.execute(drop_table_ddl(table))
                 connection.execute(f"CREATE TABLE {quoted} AS {select}")
                 row = connection.execute(
                     f"SELECT COUNT(*) FROM {quoted}"
@@ -302,7 +299,7 @@ class SqlRulePredictor:
             raise DatabaseError(f"fetch size must be positive, got {fetch_size}")
         sql = (
             f"SELECT rowid, {self._case()} "
-            f"FROM {self.dialect.quote_qualified(store.table)} "
+            f"FROM {SQLITE.quote_qualified(store.table)} "
             f"WHERE rowid > ? ORDER BY rowid LIMIT ?"
         )
         last_rowid = 0
@@ -333,7 +330,7 @@ class SqlRulePredictor:
         with self._lock:
             if self._case_key != key:
                 self._case_sql = ruleset_to_case_expression(
-                    self.ruleset, column="predicted_class", dialect=self.dialect
+                    self.ruleset, column="predicted_class", dialect=SQLITE
                 )
                 self._case_key = key
             return self._case_sql

@@ -141,7 +141,7 @@ def rule_quality(store: TupleStore, ruleset: "RuleSet[AttributeRule]") -> List[S
     _check_evaluable(store, ruleset)
     if not ruleset.rules:
         return []
-    sql = rule_quality_sql(ruleset, store.table, store.class_column, store.dialect)
+    sql = rule_quality_sql(ruleset, store.table, store.class_column)
     with store.lock:
         store._require_table()
         groups = store.connection.execute(sql).fetchall()
@@ -218,7 +218,7 @@ def confusion_matrix(
     from repro.metrics.classification import ConfusionMatrix
 
     _check_evaluable(store, ruleset)
-    sql = confusion_sql(ruleset, store.table, store.class_column, store.dialect)
+    sql = confusion_sql(ruleset, store.table, store.class_column)
     with store.lock:
         store._require_table()
         counts = {

@@ -35,7 +35,7 @@ import numpy as np
 from repro import obs
 from repro.data.dataset import Dataset, Record, storage_dtype
 from repro.data.schema import Schema
-from repro.db.dialect import SQLITE, SqlDialect
+from repro.db.dialect import SQLITE
 from repro.db.fastload import (
     RawLoadUnsupported,
     RawSqliteWriter,
@@ -127,9 +127,6 @@ class TupleStore:
     class_column:
         Label column name (default ``class``); must not collide with an
         attribute name.
-    dialect:
-        Rendering dialect; SQLite unless you are generating statements for
-        another engine through the same code path.
     """
 
     def __init__(
@@ -138,13 +135,11 @@ class TupleStore:
         path: PathLike = ":memory:",
         table: str = "tuples",
         class_column: str = "class",
-        dialect: SqlDialect = SQLITE,
     ) -> None:
         _check_class_column(schema, class_column)
         self.schema = schema
         self.table = table
         self.class_column = class_column
-        self.dialect = dialect
         self.path = str(path)
         # check_same_thread=False lets the serving layer's dispatch threads
         # run pushdown batches; every store method and the bound predictor
@@ -163,7 +158,7 @@ class TupleStore:
         #: Reentrant guard serialising connection use across threads; the
         #: predictor bound to this store shares it.
         self.lock = threading.RLock()
-        self._insert = insert_sql(schema, table, class_column, dialect)
+        self._insert = insert_sql(schema, table, class_column)
 
     # -- connection lifecycle ----------------------------------------------
 
@@ -210,24 +205,15 @@ class TupleStore:
         connection = self.connection
         with connection:
             if drop:
-                connection.execute(drop_table_ddl(self.table, self.dialect))
+                connection.execute(drop_table_ddl(self.table))
             connection.execute(
                 schema_ddl(
-                    self.schema,
-                    self.table,
-                    self.class_column,
-                    self.dialect,
-                    if_not_exists=True,
+                    self.schema, self.table, self.class_column, if_not_exists=True
                 )
             )
             if index_label:
                 connection.execute(
-                    label_index_ddl(
-                        self.table,
-                        self.class_column,
-                        self.dialect,
-                        if_not_exists=True,
-                    )
+                    label_index_ddl(self.table, self.class_column, if_not_exists=True)
                 )
 
     def table_exists(self) -> bool:
@@ -236,7 +222,7 @@ class TupleStore:
         # its schema.
         qualifier, _, bare = self.table.rpartition(".")
         master = (
-            f"{self.dialect.quote(qualifier)}.sqlite_master"
+            f"{SQLITE.quote(qualifier)}.sqlite_master"
             if qualifier
             else "sqlite_master"
         )
@@ -399,7 +385,7 @@ class TupleStore:
             refused: Optional[Dataset] = None
             try:
                 with RawSqliteWriter(
-                    self.path, self.schema, self.table, self.class_column, self.dialect
+                    self.path, self.schema, self.table, self.class_column
                 ) as writer:
                     for chunk in chunks:
                         _check_chunk(chunk, self.schema)
@@ -509,7 +495,7 @@ class TupleStore:
         """Number of stored tuples."""
         with self.lock:
             self._require_table()
-            quoted = self.dialect.quote_qualified(self.table)
+            quoted = SQLITE.quote_qualified(self.table)
             row = self.connection.execute(
                 f"SELECT COUNT(*) FROM {quoted}"
             ).fetchone()
@@ -522,8 +508,8 @@ class TupleStore:
         """Tuples per class label, via the indexed label column."""
         with self.lock:
             self._require_table()
-            quoted = self.dialect.quote_qualified(self.table)
-            label = self.dialect.quote(self.class_column)
+            quoted = SQLITE.quote_qualified(self.table)
+            label = SQLITE.quote(self.class_column)
             counts = dict(
                 self.connection.execute(
                     f"SELECT {label}, COUNT(*) FROM {quoted} GROUP BY {label}"
@@ -546,8 +532,8 @@ class TupleStore:
         the consumer keeps the generator alive.
         """
         names = [*self.schema.attribute_names, self.class_column]
-        columns = ", ".join(self.dialect.quote(name) for name in names)
-        quoted = self.dialect.quote_qualified(self.table)
+        columns = ", ".join(SQLITE.quote(name) for name in names)
+        quoted = SQLITE.quote_qualified(self.table)
         return (
             f"SELECT rowid, {columns} FROM {quoted} "
             f"WHERE rowid > ? ORDER BY rowid LIMIT ?"

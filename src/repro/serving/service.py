@@ -7,7 +7,9 @@ their setup (column materialisation, matrix products) over whole batches.
 servers do, with *work-conserving micro-batching*:
 
 * callers submit single records (:meth:`PredictionService.submit`,
-  :meth:`predict_record`) or whole record streams (:meth:`predict_stream`);
+  :meth:`predict_record`), runs of them (:meth:`submit_many`) or whole
+  record streams (:meth:`predict_stream`); every one of them appends to the
+  model's pending micro-batch through the same path;
 * while a pool worker is free, a submission is dispatched at once as its own
   micro-batch, so a lightly loaded service answers in the time the model
   takes, not the time a timer takes;
@@ -15,8 +17,17 @@ servers do, with *work-conserving micro-batching*:
   job that finishes dispatches the oldest waiting batch — batches grow with
   the load instead of with a deadline;
 * a batch that reaches ``max_batch_size`` is dispatched at once whatever
-  the load, and per-model throughput/latency statistics are recorded for
-  every batch.
+  the load.
+
+Every job runs through one body: a micro-batch, a dataset chunk
+(:meth:`PredictionService.submit_chunk`) and the synchronous
+:meth:`PredictionService.predict_batch`, which runs the body inline on the
+calling thread.  The body classifies the rows through the model object —
+``ServableModel.predict_batch`` under a ``serve.batch`` span, or
+``ServableModel.predict_codes`` under a ``serve.chunk`` span for a chunk —
+checks that the result covers every row, records the model's
+:class:`ModelStats` and the ``repro_serve_*`` series, and resolves or fails
+the job's future.
 
 Submission order is prediction order: results are keyed by ``(batch,
 offset)`` handles, so streams come back in exactly the order they went in no
@@ -48,28 +59,23 @@ from repro.serving.registry import ModelRegistry
 class ServiceConfig:
     """Tunables of the micro-batching service.
 
-    ``max_batch_size`` caps how many records one dispatched batch may hold;
-    ``workers`` sizes the dispatch thread pool, and so how many jobs may run
-    before new records start to coalesce; ``stream_window`` bounds how many
-    records :meth:`predict_stream` keeps in flight (0 picks
-    ``4 * max_batch_size``).
+    ``max_batch_size`` caps how many records one dispatched micro-batch may
+    hold; ``workers`` sizes the dispatch thread pool, and so how many jobs —
+    micro-batches and chunks, all run by the same job body — may run before
+    new records start to coalesce.  The stream windows derive from the two:
+    a record stream keeps at most ``4 * max_batch_size`` records in flight,
+    pulled from its input ``min(1024, max_batch_size)`` at a time, and a
+    chunk stream at most ``workers + 2`` chunks.
     """
 
     max_batch_size: int = 1024
     workers: int = 2
-    stream_window: int = 0
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ServingError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
         if self.workers < 1:
             raise ServingError(f"workers must be >= 1, got {self.workers}")
-        if self.stream_window < 0:
-            raise ServingError(f"stream_window must be >= 0, got {self.stream_window}")
-
-    @property
-    def effective_stream_window(self) -> int:
-        return self.stream_window or 4 * self.max_batch_size
 
 
 @dataclass
@@ -232,18 +238,8 @@ class PredictionService:
         """
         model = self.registry.get(model_name)  # fail fast on unknown names
         with self._lock:
-            if self._closed:
-                raise ServingError("cannot submit to a closed PredictionService")
-            batch = self._pending.get(model_name)
-            if batch is None:
-                batch = self._pending[model_name] = _PendingBatch(model)
-            batch.records.append(record)
-            handle = PendingPrediction(batch.future, len(batch.records) - 1)
-            reason = self._dispatch_reason(batch)
-            if reason is not None:
-                del self._pending[model_name]
-                self._dispatch(model_name, batch, reason)
-        return handle
+            future, offset = self._append(model_name, model, (record,))
+        return PendingPrediction(future, offset)
 
     def submit_many(
         self, model_name: str, records: Sequence[Record]
@@ -262,22 +258,16 @@ class PredictionService:
         records = list(records)
         groups: List[Tuple["Future[np.ndarray]", int, int]] = []
         with self._lock:
-            if self._closed:
-                raise ServingError("cannot submit to a closed PredictionService")
             position = 0
             while position < len(records):
-                batch = self._pending.get(model_name)
-                if batch is None:
-                    batch = self._pending[model_name] = _PendingBatch(model)
-                space = self.config.max_batch_size - len(batch.records)
-                take = records[position : position + space]
-                groups.append((batch.future, len(batch.records), len(take)))
-                batch.records.extend(take)
-                position += len(take)
-                reason = self._dispatch_reason(batch)
-                if reason is not None:
-                    del self._pending[model_name]
-                    self._dispatch(model_name, batch, reason)
+                pending = self._pending.get(model_name)
+                room = self.config.max_batch_size - (
+                    len(pending.records) if pending is not None else 0
+                )
+                run = records[position : position + room]
+                future, offset = self._append(model_name, model, run)
+                groups.append((future, offset, len(run)))
+                position += len(run)
         return groups
 
     def predict_record(
@@ -305,29 +295,24 @@ class PredictionService:
         with self._lock:
             if self._closed:
                 raise ServingError("cannot submit to a closed PredictionService")
-            self._pool.submit(self._job, self._run_chunk, model_name, model, chunk, future)
+            self._pool.submit(self._job, model_name, model, chunk, future, True)
             self._in_flight += 1
         return future
 
     def predict_chunks(
-        self,
-        model_name: str,
-        chunks: Iterable[Dataset],
-        window: Optional[int] = None,
+        self, model_name: str, chunks: Iterable[Dataset]
     ) -> Iterator[Dataset]:
         """Classify a chunk stream, yielding re-labelled chunks in order.
 
         The chunk-fabric counterpart of :meth:`predict_stream_batches`: each
         input chunk comes back as the same zero-copy columns with the
         predicted label codes in place of its own (``chunk.with_label_codes``).
-        At most ``window`` chunks (default ``workers + 2``) are in flight at
-        once, so a generation stream pipelines through the dispatch pool in
-        bounded memory with labels kept as index arrays end-to-end.
+        At most ``workers + 2`` chunks are in flight at once — enough to
+        keep every worker busy while the consumer takes the head — so a
+        generation stream pipelines through the dispatch pool in bounded
+        memory with labels kept as index arrays end-to-end.
         """
-        if window is None:
-            window = self.config.workers + 2
-        if window < 1:
-            raise ServingError(f"chunk window must be >= 1, got {window}")
+        window = self.config.workers + 2
         in_flight: Deque[
             Tuple[Dataset, "Future[Tuple[np.ndarray, Tuple[str, ...]]]"]
         ] = deque()
@@ -344,97 +329,56 @@ class PredictionService:
             codes, classes = future.result()
             yield done_chunk.with_label_codes(codes, classes)
 
-    def _run_chunk(
-        self,
-        model_name: str,
-        model: ServableModel,
-        chunk: Dataset,
-        future: "Future[Tuple[np.ndarray, Tuple[str, ...]]]",
-    ) -> None:
-        with obs.trace("serve.chunk", model=model_name, rows=len(chunk)) as span:
-            try:
-                codes, classes = model.predict_codes(chunk)
-                if len(codes) != len(chunk):
-                    raise ServingError(
-                        f"model {model_name!r} returned {len(codes)} codes for a "
-                        f"chunk of {len(chunk)} tuples"
-                    )
-            # repro: ignore[broad-except] the exception is forwarded, not dropped:
-            # set_exception re-raises it in every caller blocked on this chunk's
-            # future, and a narrower catch would hang those callers forever.
-            except BaseException as exc:
-                span.set(error=True)
-                self._observe(model_name, len(chunk), span.seconds, error=True)
-                future.set_exception(exc)
-                return
-            self._observe(model_name, len(chunk), span.seconds)
-            future.set_result((codes, classes))
-
-    def _stream_chunk_labels(
-        self, model_name: str, chunks: Iterable[Dataset], window: Optional[int]
-    ) -> Iterator[np.ndarray]:
-        """Label arrays for a chunk stream (strings materialised per batch)."""
-        for labelled in self.predict_chunks(model_name, chunks, window=window):
-            yield labelled.label_array()
-
     def predict_stream_batches(
         self,
         model_name: str,
         records: Union[Iterable[Record], Iterable[Dataset], Dataset],
-        window: Optional[int] = None,
-        chunk_size: Optional[int] = None,
     ) -> Iterator[np.ndarray]:
         """Classify a record stream, yielding label arrays in submission order.
 
         Datasets — a :class:`~repro.data.dataset.Dataset` or an iterable of
         them — are routed through the chunk fabric (:meth:`predict_chunks`):
         no per-record dicts are built, labels travel as index arrays, and
-        each yielded array covers one chunk.  ``window`` then counts
-        in-flight *chunks* (default ``workers + 2``).
+        each yielded array covers one chunk.
 
-        Record streams take the micro-batching path: the input iterator
-        is pulled ``chunk_size`` records at a time into :meth:`submit_many`,
-        and at most ``window`` records (default
-        ``config.effective_stream_window``) are in flight at once — so a
-        multi-million-tuple file streams through in bounded memory, with new
-        input admitted only as results are consumed from the head of the
-        window.  Each yielded array covers one contiguous run of input
-        records; concatenated, the arrays reproduce the input order exactly,
-        regardless of how the thread pool interleaves batch completions.
+        Record streams take the micro-batching path: the input iterator is
+        pulled ``min(1024, max_batch_size)`` records at a time into
+        :meth:`submit_many`, and at most ``4 * max_batch_size`` records are
+        in flight at once — so a multi-million-tuple file streams through in
+        bounded memory, with new input admitted only as results are consumed
+        from the head of the window.  Each yielded array covers one
+        contiguous run of input records; concatenated, the arrays reproduce
+        the input order exactly, regardless of how the thread pool
+        interleaves batch completions.
         """
         if isinstance(records, Dataset):
-            return self._stream_chunk_labels(model_name, (records,), window)
-        iterator = iter(records)
-        head = next(iterator, None)
-        if head is None:
-            return iter(())
-        records = chain((head,), iterator)
-        if isinstance(head, Dataset):
-            return self._stream_chunk_labels(model_name, records, window)
-        return self._predict_stream_records(model_name, records, window, chunk_size)
+            chunks: Iterable[Dataset] = (records,)
+        else:
+            iterator = iter(records)
+            head = next(iterator, None)
+            if head is None:
+                return iter(())
+            records = chain((head,), iterator)
+            if not isinstance(head, Dataset):
+                return self._predict_stream_records(model_name, records)
+            chunks = records
+        return (
+            labelled.label_array()
+            for labelled in self.predict_chunks(model_name, chunks)
+        )
 
     def _predict_stream_records(
-        self,
-        model_name: str,
-        records: Iterable[Record],
-        window: Optional[int] = None,
-        chunk_size: Optional[int] = None,
+        self, model_name: str, records: Iterator[Record]
     ) -> Iterator[np.ndarray]:
         """The micro-batching dict-record path of :meth:`predict_stream_batches`."""
-        if window is None:
-            window = self.config.effective_stream_window
-        if window < 1:
-            raise ServingError(f"stream window must be >= 1, got {window}")
-        if chunk_size is None:
-            chunk_size = min(1024, self.config.max_batch_size)
-        if chunk_size < 1:
-            raise ServingError(f"chunk_size must be >= 1, got {chunk_size}")
-
+        # The window is four full batches, so the head group a full window
+        # waits on never sits in the one batch that may still be pending.
+        window = 4 * self.config.max_batch_size
+        pull = min(1024, self.config.max_batch_size)
         in_flight: Deque[Tuple["Future[np.ndarray]", int, int]] = deque()
         pending_results = 0
-        iterator = iter(records)
         while True:
-            chunk = list(islice(iterator, chunk_size))
+            chunk = list(islice(records, pull))
             if not chunk:
                 break
             for group in self.submit_many(model_name, chunk):
@@ -450,35 +394,27 @@ class PredictionService:
             yield future.result()[offset : offset + count]
 
     def predict_stream(
-        self,
-        model_name: str,
-        records: Iterable[Record],
-        window: Optional[int] = None,
-        chunk_size: Optional[int] = None,
+        self, model_name: str, records: Iterable[Record]
     ) -> Iterator[str]:
         """Label-at-a-time wrapper around :meth:`predict_stream_batches`."""
-        for labels in self.predict_stream_batches(
-            model_name, records, window=window, chunk_size=chunk_size
-        ):
-            for label in labels:
-                yield label
+        for labels in self.predict_stream_batches(model_name, records):
+            yield from labels
 
     def predict_batch(
         self, model_name: str, records: Union[Dataset, List[Record]]
     ) -> np.ndarray:
         """Classify an already-assembled batch — records or a dataset —
-        synchronously (still recorded in the model's statistics, but
-        bypassing the micro-batcher)."""
+        synchronously.
+
+        The batch bypasses the micro-batcher, but not the job body: it runs
+        inline on the calling thread, with the same ``serve.batch`` span,
+        row-count check and statistics as a pool job, and re-raises what
+        the model raised.
+        """
         model = self.registry.get(model_name)
-        with obs.trace("serve.batch", model=model_name, rows=len(records)) as span:
-            try:
-                labels = model.predict_batch(records)
-            except BaseException:
-                span.set(error=True)
-                self._observe(model_name, len(records), span.seconds, error=True)
-                raise
-            self._observe(model_name, len(records), span.seconds)
-            return labels
+        future: "Future[np.ndarray]" = Future()
+        self._run(model_name, model, records, future)
+        return future.result()
 
     def flush(self, model_name: Optional[str] = None) -> None:
         """Dispatch pending partial batches now (all models when unnamed)."""
@@ -540,14 +476,35 @@ class PredictionService:
             "repro_serve_batch_seconds", "Batch execute latency", model=model_name
         ).observe(seconds)
 
-    def _dispatch_reason(self, batch: _PendingBatch) -> Optional[str]:
-        """Why ``batch`` should go to the pool now, or ``None`` to let it
-        keep coalescing; the caller holds ``self._lock``."""
+    def _append(
+        self, model_name: str, model: ServableModel, records: Sequence[Record]
+    ) -> Tuple["Future[np.ndarray]", int]:
+        """Append ``records`` to the model's pending micro-batch and dispatch
+        the batch if it is due; the caller holds ``self._lock``.
+
+        The one append path of :meth:`submit` and :meth:`submit_many`.  The
+        records must fit in the batch, which one record always does: a
+        pending batch is never full.  Returns ``(batch_future, offset)``,
+        the offset of the first appended record in the batch's results.
+        """
+        if self._closed:
+            raise ServingError("cannot submit to a closed PredictionService")
+        batch = self._pending.get(model_name)
+        if batch is None:
+            # repro: ignore[lock-discipline] every caller holds self._lock
+            batch = self._pending[model_name] = _PendingBatch(model)
+        offset = len(batch.records)
+        batch.records += records
         if len(batch.records) >= self.config.max_batch_size:
-            return "full"
-        if self._in_flight < self.config.workers:
-            return "idle"
-        return None
+            reason = "full"
+        elif self._in_flight < self.config.workers:
+            reason = "idle"
+        else:
+            return batch.future, offset
+        # repro: ignore[lock-discipline] every caller holds self._lock
+        del self._pending[model_name]
+        self._dispatch(model_name, batch, reason)
+        return batch.future, offset
 
     def _dispatch(self, model_name: str, batch: _PendingBatch, reason: str) -> None:
         """Hand ``batch`` to the pool as one job; the caller holds ``self._lock``.
@@ -570,18 +527,18 @@ class PredictionService:
             model=model_name,
             reason=reason,
         ).inc()
-        self._pool.submit(self._job, self._run_batch, model_name, batch.model, batch)
+        self._pool.submit(self._job, model_name, batch.model, batch.records, batch.future)
         self._in_flight += 1  # repro: ignore[lock-discipline] every caller holds self._lock
 
-    def _job(self, run, *args) -> None:
-        """One pool job: ``run(*args)``, then retire it and give its worker
-        the oldest pending batch.
+    def _job(self, *args) -> None:
+        """One pool job: the job body (:meth:`_run`), then retire the job
+        and give its worker the oldest pending batch.
 
         The hand-over sits in a ``finally``, so a job that raised makes it
         too; that keeps the in-flight invariant (see ``__init__``) true.
         """
         try:
-            run(*args)
+            self._run(*args)
         finally:
             with self._lock:
                 self._in_flight -= 1
@@ -589,26 +546,43 @@ class PredictionService:
                     name = next(iter(self._pending))  # insertion order: the oldest
                     self._dispatch(name, self._pending.pop(name), "idle")
 
-    def _run_batch(
-        self, model_name: str, model: ServableModel, batch: _PendingBatch
+    def _run(
+        self,
+        model_name: str,
+        model: ServableModel,
+        rows: Union[Dataset, Sequence[Record]],
+        future: Future,
+        codes: bool = False,
     ) -> None:
-        with obs.trace(
-            "serve.batch", model=model_name, rows=len(batch.records)
-        ) as span:
+        """The job body: classify ``rows``, record it, resolve ``future``.
+
+        ``model.predict_batch`` labels the rows under a ``serve.batch`` span
+        and the future resolves to the label array; with ``codes`` (a chunk)
+        ``model.predict_codes`` does, under a ``serve.chunk`` span, and the
+        future resolves to ``(label_codes, classes)``.  The method is looked
+        up on the model for every job, so a wrapper installed on
+        :class:`ServableModel` sees each call.
+        """
+        span_name = "serve.chunk" if codes else "serve.batch"
+        with obs.trace(span_name, model=model_name, rows=len(rows)) as span:
             try:
-                labels = model.predict_batch(batch.records)
-                if len(labels) != len(batch.records):
+                if codes:
+                    result = model.predict_codes(rows)
+                    labels = result[0]
+                else:
+                    result = labels = model.predict_batch(rows)
+                if len(labels) != len(rows):
                     raise ServingError(
-                        f"model {model_name!r} returned {len(labels)} labels for a "
-                        f"batch of {len(batch.records)} records"
+                        f"model {model_name!r} returned {len(labels)} labels "
+                        f"for {len(rows)} rows"
                     )
             # repro: ignore[broad-except] the exception is forwarded, not dropped:
-            # set_exception re-raises it in every caller blocked on this batch's
+            # set_exception re-raises it in every caller blocked on this job's
             # future, and a narrower catch would hang those callers forever.
             except BaseException as exc:
                 span.set(error=True)
-                self._observe(model_name, len(batch.records), span.seconds, error=True)
-                batch.future.set_exception(exc)
+                self._observe(model_name, len(rows), span.seconds, error=True)
+                future.set_exception(exc)
                 return
-            self._observe(model_name, len(batch.records), span.seconds)
-            batch.future.set_result(labels)
+            self._observe(model_name, len(rows), span.seconds)
+            future.set_result(result)

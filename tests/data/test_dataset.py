@@ -550,6 +550,17 @@ class TestAlgebra:
         )
         assert tiny_columnar == other
 
+    def test_equality_leaves_the_record_view_unbuilt(self, tiny_columnar, tiny_schema):
+        """Regression: == compared the record views, building (and caching)
+        one dict per tuple on both sides."""
+        columns = {name: column.copy() for name, column in tiny_columnar.columns.items()}
+        other = Dataset(tiny_schema, columns, tiny_columnar.label_array().copy())
+        assert tiny_columnar == other
+        columns["age"][-1] = 51
+        assert tiny_columnar != Dataset(tiny_schema, columns, other.label_array())
+        assert not tiny_columnar.records_materialized
+        assert not other.records_materialized
+
     def test_equality_survives_label_indices(self, small_schema):
         """Regression: comparing two record-built datasets raised ValueError
         once both had cached their label-index arrays."""

@@ -122,10 +122,6 @@ class TestPredictChunks:
         # Columns ride through untouched (zero-copy).
         assert np.shares_memory(labelled[0].column("salary"), data.column("salary"))
 
-    def test_window_validated(self, service, data):
-        with pytest.raises(ServingError, match="window"):
-            list(service.predict_chunks("f1", pieces(data, 500), window=0))
-
     def test_submit_chunk_future(self, service, data):
         codes, classes = service.submit_chunk("f1", data).result(timeout=10)
         assert len(codes) == len(data)

@@ -19,9 +19,14 @@ from repro.serving import (
 
 
 @pytest.fixture(scope="module")
-def records():
-    """2 000 clean function-1 tuples plus their true labels."""
-    data = AgrawalGenerator(function=1, perturbation=0.0, seed=31).generate(2000)
+def data():
+    """2 000 clean function-1 tuples."""
+    return AgrawalGenerator(function=1, perturbation=0.0, seed=31).generate(2000)
+
+
+@pytest.fixture(scope="module")
+def records(data):
+    """The tuples of ``data`` as records, plus their true labels."""
     return data.records, data.labels
 
 
@@ -65,6 +70,26 @@ def flushes(model: str, reason: str) -> float:
     return obs.counter("repro_serve_flush_total", model=model, reason=reason).value
 
 
+#: The three ways a job reaches the service's job body.
+ENTRY_POINTS = ("micro-batch", "chunk", "synchronous")
+
+
+def classify(service, entry: str, model: str, data):
+    """Labels of dataset ``data`` from ``model`` through one entry point.
+
+    ``micro-batch`` submits the records as one run (a single micro-batch
+    when they fit in one), ``chunk`` submits the dataset as a chunk, and
+    ``synchronous`` calls ``predict_batch``.  Raises what the job raised.
+    """
+    if entry == "micro-batch":
+        ((future, offset, count),) = service.submit_many(model, data.records)
+        return future.result(timeout=5.0)[offset : offset + count]
+    if entry == "chunk":
+        codes, classes = service.submit_chunk(model, data).result(timeout=5.0)
+        return np.asarray(classes, dtype=object)[codes]
+    return service.predict_batch(model, data.records)
+
+
 def pause_pool_submit(service, call: int):
     """Make the ``call``-th ``pool.submit`` of ``service`` wait for a signal.
 
@@ -95,10 +120,6 @@ class TestConfigValidation:
     def test_bad_workers(self):
         with pytest.raises(ServingError):
             ServiceConfig(workers=0)
-
-    def test_default_stream_window(self):
-        assert ServiceConfig(max_batch_size=100).effective_stream_window == 400
-        assert ServiceConfig(stream_window=7).effective_stream_window == 7
 
 
 class TestMicroBatching:
@@ -263,19 +284,11 @@ class TestStreaming:
         assert all(isinstance(a, np.ndarray) for a in arrays)
         assert np.concatenate(arrays).tolist() == records[1]
 
-    def test_stream_with_tiny_window(self, registry, records):
-        """A window smaller than the batch size still terminates correctly:
-        the head batch the window waits on is always dispatched."""
-        with PredictionService(
-            registry, ServiceConfig(max_batch_size=64)
-        ) as service:
-            out = list(
-                service.predict_stream("f1", iter(records[0][:150]), window=16)
-            )
-        assert out == records[1][:150]
-
     def test_stream_pulls_input_lazily(self, registry, records):
-        """The input iterator is only advanced as the window drains."""
+        """The input iterator is pulled at most one window (4 batches of
+        records) plus one pull (``min(1024, max_batch_size)`` records) ahead
+        of the results consumed."""
+        window, pull = 4 * 8, 8
         pulled = []
 
         def tracking_iterator():
@@ -283,17 +296,12 @@ class TestStreaming:
                 pulled.append(None)
                 yield record
 
-        with PredictionService(
-            registry, ServiceConfig(max_batch_size=32)
-        ) as service:
-            stream = service.predict_stream(
-                "f1", tracking_iterator(), window=64, chunk_size=32
-            )
-            next(stream)
-            # One result consumed: the stream must not have drained the input.
-            assert len(pulled) < 500
-            out = [records[1][0]] + list(stream)
-        assert out == records[1][:500]
+        consumed = []
+        with PredictionService(registry, ServiceConfig(max_batch_size=8)) as service:
+            for labels in service.predict_stream_batches("f1", tracking_iterator()):
+                consumed.extend(labels)
+                assert len(pulled) <= len(consumed) + window + pull
+        assert consumed == records[1][:500]
         assert len(pulled) == 500
 
     def test_empty_stream(self, registry):
@@ -311,23 +319,31 @@ class TestErrorsAndStats:
         def predict(self, records):  # pragma: no cover - protocol filler
             raise RuntimeError("boom")
 
-    def test_batch_error_propagates_to_handles(self, registry, gated, records):
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_batch_error_propagates_to_handles(self, registry, gated, data, entry):
+        """A job that raises fails every caller waiting on it and counts as
+        one failed batch, whichever entry point it came through."""
         registry.register_predictor("bad", self._Exploding(), kind="baseline")
         with PredictionService(
             registry, ServiceConfig(max_batch_size=4, workers=1)
         ) as service:
-            service.submit("gated", records[0][0])  # holds the only worker
-            # ... so the four records fill one batch, which fails as a whole.
-            handles = [service.submit("bad", r) for r in records[0][:4]]
-            gated.gate.set()
-            for handle in handles:
+            if entry == "micro-batch":
+                service.submit("gated", data.records[0])  # holds the only worker
+                # ... so the four records fill one batch, which fails as a whole.
+                handles = [service.submit("bad", r) for r in data.records[:4]]
+                gated.gate.set()
+                for handle in handles:
+                    with pytest.raises(RuntimeError, match="boom"):
+                        handle.result(timeout=5.0)
+            else:
                 with pytest.raises(RuntimeError, match="boom"):
-                    handle.result(timeout=5.0)
+                    classify(service, entry, "bad", data.subset(slice(0, 4)))
             stats = service.stats("bad")
         assert stats.errors == 1
         assert stats.batches == 1
 
-    def test_length_mismatch_detected(self, records):
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_length_mismatch_detected(self, data, entry):
         class Short:
             classes = ("A", "B")
 
@@ -342,9 +358,10 @@ class TestErrorsAndStats:
         with PredictionService(
             registry, ServiceConfig(max_batch_size=2)
         ) as service:
-            ((future, _offset, _count),) = service.submit_many("short", records[0][:2])
-            with pytest.raises(ServingError, match="returned 1 labels"):
-                future.result(timeout=5.0)
+            with pytest.raises(ServingError, match="returned 1 labels for 2 rows"):
+                classify(service, entry, "short", data.subset(slice(0, 2)))
+            stats = service.stats("short")
+        assert stats.errors == 1
 
     def test_failed_batch_still_drains_the_pending_one(self, registry, records):
         """A job that raises hands its worker on like one that succeeds."""
