@@ -14,14 +14,19 @@ The paper delegates this to the authors' X2R rule generator, which is not
 published; this module provides a deterministic equivalent: start from a fully
 specified row, greedily drop literals while consistency is preserved (yielding
 a maximally general conjunction), repeat until every target row is covered,
-then drop redundant conjunctions.  On the tables RX produces (tens of rows,
-single-digit column counts) this is exact and instantaneous.
+then drop redundant conjunctions.  RX's tables range from tens of enumerated
+rows to the few hundred distinct input patterns observed for a hidden unit
+with dozens of connected inputs, so the search runs over integer-coded row
+blocks: each column's values are numbered, and which rows a conjunction
+admits when it loses one literal follows from each row's mismatch count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import RuleError
 
@@ -96,7 +101,6 @@ def generate_perfect_rules(table: DiscreteTable, target: Value) -> List[Conjunct
     union covers every target row.  Returns an empty list when no row has the
     target outcome.
     """
-    column_index = {name: i for i, name in enumerate(table.columns)}
     positives = [row for row, outcome in zip(table.rows, table.outcomes) if outcome == target]
     negatives = [row for row, outcome in zip(table.rows, table.outcomes) if outcome != target]
     # Deduplicate while keeping deterministic order.
@@ -105,58 +109,88 @@ def generate_perfect_rules(table: DiscreteTable, target: Value) -> List[Conjunct
     if not positives:
         return []
 
+    # A conjunction holds one literal per column *name*, read from the last
+    # column of that name, in first-appearance order.
+    column_index = {name: i for i, name in enumerate(table.columns)}
+    names = list(column_index)
+    columns = [column_index[name] for name in names]
+    pos, neg = _value_codes(columns, positives, negatives)
+
     rules: List[Conjunction] = []
-    uncovered = list(positives)
+    covers: List[np.ndarray] = []  # each rule's cover of `positives`
+    uncovered = np.arange(len(positives))
 
-    while uncovered:
+    while uncovered.size:
         seed = uncovered[0]
-        conjunction: Conjunction = {
-            name: seed[column_index[name]] for name in table.columns
-        }
-        # Greedily drop literals while no negative row becomes covered.
-        improved = True
-        while improved:
-            improved = False
-            best_drop = None
-            best_gain = -1
-            for name in list(conjunction):
-                candidate = {k: v for k, v in conjunction.items() if k != name}
-                if any(_covers(candidate, column_index, row) for row in negatives):
-                    continue
-                gain = sum(1 for row in uncovered if _covers(candidate, column_index, row))
-                if gain > best_gain:
-                    best_gain = gain
-                    best_drop = name
-            if best_drop is not None:
-                del conjunction[best_drop]
-                improved = True
-        rules.append(conjunction)
-        uncovered = [row for row in uncovered if not _covers(conjunction, column_index, row)]
+        # Literals kept so far, and each row's mismatches against them: a
+        # row is covered at 0 mismatches, and dropping literal d admits the
+        # rows whose one mismatch is d.
+        kept = np.ones(len(names), dtype=bool)
+        neg_miss = neg != pos[seed]
+        unc_miss = pos[uncovered] != pos[seed]
+        neg_count = neg_miss.sum(axis=1)
+        unc_count = unc_miss.sum(axis=1)
+        # Greedily drop literals while no negative row becomes covered:
+        # the allowed drop admitting the most uncovered rows, the first
+        # literal winning ties.  A covered negative blocks every drop.
+        while not (neg_count == 0).any():
+            allowed = kept & ~(neg_miss[neg_count == 1].any(axis=0))
+            if not allowed.any():
+                break
+            gain = unc_miss[unc_count == 1].sum(axis=0)
+            drop = int(np.argmax(np.where(allowed, gain, -1)))
+            kept[drop] = False
+            neg_count -= neg_miss[:, drop]
+            unc_count -= unc_miss[:, drop]
+        rules.append(
+            {names[j]: positives[seed][columns[j]] for j in np.flatnonzero(kept)}
+        )
+        covers.append((pos[:, kept] == pos[seed, kept]).all(axis=1))
+        uncovered = uncovered[unc_count != 0]
 
-    return _drop_redundant(rules, positives, column_index)
+    return _drop_redundant(rules, np.vstack(covers))
 
 
-def _drop_redundant(
-    rules: List[Conjunction],
+def _value_codes(
+    columns: List[int],
     positives: List[Tuple[Value, ...]],
-    column_index: Dict[str, int],
-) -> List[Conjunction]:
-    """Remove conjunctions whose positive coverage is provided by the others."""
-    kept = list(rules)
+    negatives: List[Tuple[Value, ...]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows' values at ``columns`` as integer codes, numbered per column,
+    so that two rows agree on a column exactly when their codes do."""
+    lookups: List[Dict[Value, int]] = [{} for _ in columns]
+    codes = np.array(
+        [
+            [lookup.setdefault(row[c], len(lookup)) for lookup, c in zip(lookups, columns)]
+            for row in positives + negatives
+        ],
+        dtype=np.int64,
+    ).reshape(len(positives) + len(negatives), len(columns))
+    return codes[: len(positives)], codes[len(positives) :]
+
+
+def _drop_redundant(rules: List[Conjunction], covers: np.ndarray) -> List[Conjunction]:
+    """Remove conjunctions whose positive coverage is provided by the others.
+
+    ``covers[r, p]`` tells whether rule ``r`` covers positive row ``p``.  A
+    rule goes when every row it covers is covered twice among the rules
+    still kept; the sweep runs from the last rule to the first and repeats
+    until a sweep drops nothing.
+    """
+    kept = list(range(len(rules)))
+    counts = covers.sum(axis=0)
     changed = True
     while changed:
         changed = False
         for i in range(len(kept) - 1, -1, -1):
-            others = kept[:i] + kept[i + 1:]
-            if not others:
+            if len(kept) == 1:
                 continue
-            covered_without = {
-                row for row in positives if any(_covers(c, column_index, row) for c in others)
-            }
-            if all(row in covered_without for row in positives if _covers(kept[i], column_index, row)):
+            cover = covers[kept[i]]
+            if (counts[cover] >= 2).all():
+                counts -= cover
                 del kept[i]
                 changed = True
-    return kept
+    return [rules[r] for r in kept]
 
 
 def generate_rules_for_all_outcomes(table: DiscreteTable) -> Dict[Value, List[Conjunction]]:

@@ -1,5 +1,6 @@
 """Tests of the perfect-cover rule generator (the X2R stand-in)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,5 +117,84 @@ class TestGeneratePerfectRules:
             columns=[f"c{i}" for i in range(n_columns)], rows=rows, outcomes=outcomes
         )
         for target in ("A", "B"):
+            rules = generate_perfect_rules(table, target)
+            assert check_perfect_cover(table, target, rules)
+
+
+def _reference_rules(table, target):
+    """The covering search spelled out literal by literal over the rows
+    themselves: the specification ``generate_perfect_rules`` must match
+    rule for rule, in order."""
+    index = {name: i for i, name in enumerate(table.columns)}
+
+    def covers(conjunction, row):
+        return all(row[index[name]] == value for name, value in conjunction.items())
+
+    positives = list(dict.fromkeys(r for r, o in zip(table.rows, table.outcomes) if o == target))
+    negatives = list(dict.fromkeys(r for r, o in zip(table.rows, table.outcomes) if o != target))
+    rules, uncovered = [], list(positives)
+    while uncovered:
+        conjunction = {name: uncovered[0][index[name]] for name in table.columns}
+        while True:
+            best, best_gain = None, -1
+            for name in conjunction:
+                candidate = {k: v for k, v in conjunction.items() if k != name}
+                if any(covers(candidate, row) for row in negatives):
+                    continue
+                gain = sum(covers(candidate, row) for row in uncovered)
+                if gain > best_gain:
+                    best, best_gain = name, gain
+            if best is None:
+                break
+            del conjunction[best]
+        rules.append(conjunction)
+        uncovered = [row for row in uncovered if not covers(conjunction, row)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(rules) - 1, -1, -1):
+            others = rules[:i] + rules[i + 1 :]
+            if others and all(
+                any(covers(c, row) for c in others) for row in positives if covers(rules[i], row)
+            ):
+                del rules[i]
+                changed = True
+    return rules
+
+
+class TestMatchesReferenceSearch:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_tables_give_the_reference_rules(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(12):
+            n_columns = int(rng.integers(1, 11))
+            columns = [f"c{i}" for i in range(n_columns)]
+            if n_columns > 2 and rng.random() < 0.2:
+                columns[int(rng.integers(1, n_columns))] = "c0"  # a repeated name
+            cardinality = int(rng.integers(2, 5))
+            rows = list(
+                dict.fromkeys(
+                    tuple(int(v) for v in rng.integers(0, cardinality, n_columns))
+                    for _ in range(int(rng.integers(1, 60)))
+                )
+            )
+            labels = ["A", "B", "C"][: int(rng.integers(1, 4))]
+            outcomes = [labels[int(rng.integers(0, len(labels)))] for _ in rows]
+            # Repeated rows (consistent duplicates) are part of the input too.
+            table = DiscreteTable(columns, rows + rows[:5], outcomes + outcomes[:5])
+            for target in ("A", "B", "C"):
+                rules = generate_perfect_rules(table, target)
+                reference = _reference_rules(table, target)
+                assert [list(r.items()) for r in rules] == [list(r.items()) for r in reference]
+
+    def test_observed_pattern_table_is_covered(self):
+        """An RX step-3 sized table: a few hundred distinct 0/1 patterns
+        over dozens of connected inputs."""
+        rng = np.random.default_rng(7)
+        patterns = sorted({tuple(int(b) for b in rng.integers(0, 2, 40)) for _ in range(300)})
+        weights = rng.normal(size=40)
+        outcomes = [int(np.dot(p, weights) > 0) + int(p[0] and p[1]) for p in patterns]
+        table = DiscreteTable([f"x{i}" for i in range(40)], patterns, outcomes)
+        for target in (0, 1, 2):
             rules = generate_perfect_rules(table, target)
             assert check_perfect_cover(table, target, rules)
